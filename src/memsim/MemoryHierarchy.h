@@ -188,12 +188,12 @@ public:
     // The block may still be on its way in: wait out the remaining
     // latency.  This is how an early-but-not-early-enough prefetch still
     // hides part of a miss — the "late" class.
-    if (size_t P = findInFlight(Address); P != NotInFlight) {
-      const uint64_t Remaining = InFlightReady[P] - Account.total();
+    if (size_t P = findInFlight(blockNumber(Address)); P != NotInFlight) {
+      const uint64_t Remaining = Entries[P].Ready - Account.total();
       ++Stats.PartialHits;
-      ++bucket(inFlightTag(P)).Late;
+      ++bucket(Entries[P].Tag).Late;
       if (Listener)
-        Listener->onPrefetchLate(Address, inFlightTag(P));
+        Listener->onPrefetchLate(Address, Entries[P].Tag);
       charge(Remaining, Remaining, /*PartialHit=*/true);
       drainDuePrefetches(); // fills this block (and any other due ones)
       // The arriving line counts as a useful prefetch in the cache-level
@@ -280,14 +280,10 @@ public:
   const obs::PrefetchClassCounts &untaggedClasses() const { return Untagged; }
 
   /// Number of prefetches currently in flight (for tests).
-  unsigned inFlightCount() const {
-    return static_cast<unsigned>(InFlightReady.size());
-  }
+  unsigned inFlightCount() const { return InFlight; }
 
 private:
-  uint64_t blockNumber(Addr Address) const {
-    return Address / L1.config().BlockBytes;
-  }
+  uint64_t blockNumber(Addr Address) const { return L1.blockNumber(Address); }
 
   /// Charges one demand access: the stalled portion is attributed to
   /// DemandStall (or PartialHitStall), the remainder to PureCompute.
@@ -322,7 +318,7 @@ private:
   /// Moves completed prefetches into the caches.  The fast path is a
   /// single compare against the cached earliest ready cycle — with no
   /// prefetch due (the common case on every tick and access) nothing is
-  /// scanned.  NextReadyCycle is always the minimum ReadyCycle over the
+  /// touched.  NextReadyCycle is always the minimum ready cycle over the
   /// in-flight queue, or ~0 when the queue is empty.
   void drainDuePrefetches() {
     if (Account.total() < NextReadyCycle)
@@ -333,35 +329,84 @@ private:
 
   static constexpr size_t NotInFlight = ~size_t{0};
 
-  /// Index of the in-flight entry covering \p Address, or NotInFlight.
-  size_t findInFlight(Addr Address) const {
-    if (InFlightBlock.empty())
-      return NotInFlight;
-    const uint64_t Block = blockNumber(Address);
-    for (size_t I = 0; I < InFlightBlock.size(); ++I)
-      if (InFlightBlock[I] == Block)
-        return I;
-    return NotInFlight;
+  /// Index of the in-flight entry for block \p Block, or NotInFlight.  A
+  /// branchless scan of the live entries: prefetchT0 never queues a block
+  /// that is already in flight, so at most one entry matches.
+  size_t findInFlight(uint64_t Block) const {
+    size_t Found = NotInFlight;
+    for (size_t I = 0; I < InFlight; ++I)
+      Found = EntryBlock[I] == Block ? I : Found;
+    return Found;
   }
 
-  uint32_t inFlightTag(size_t I) const {
-    return static_cast<uint32_t>(InFlightMeta[I] >> 1);
+  /// The in-flight entries of one fill source, in issue order.  A fill's
+  /// ready cycle is its issue cycle plus the source's fixed latency and
+  /// the clock never runs backwards, so issue order is ready order and
+  /// the due entries are always a prefix.
+  struct ReadyFifo {
+    /// Entry indices; MaxInFlightPrefetches long.
+    std::vector<uint32_t> Ring;
+    uint32_t Head = 0;
+    uint32_t Count = 0;
+
+    uint32_t front() const { return Ring[Head]; }
+    /// Appends \p Entry and returns its ring position.
+    uint32_t push(uint32_t Entry) {
+      size_t Tail = size_t{Head} + Count;
+      Tail -= Tail >= Ring.size() ? Ring.size() : 0;
+      Ring[Tail] = Entry;
+      ++Count;
+      return static_cast<uint32_t>(Tail);
+    }
+    void pop() {
+      Head = Head + 1 == Ring.size() ? 0 : Head + 1;
+      --Count;
+    }
+  };
+
+  /// Earliest ready cycle over the queue (the FIFO heads), ~0 if empty.
+  uint64_t earliestReady() const {
+    uint64_t Earliest = ~uint64_t{0};
+    if (FromL2.Count)
+      Earliest = Entries[FromL2.front()].Ready;
+    if (FromMemory.Count && Entries[FromMemory.front()].Ready < Earliest)
+      Earliest = Entries[FromMemory.front()].Ready;
+    return Earliest;
   }
-  bool inFlightFillsL2(size_t I) const { return (InFlightMeta[I] & 1) != 0; }
+
+  /// Removes entry \p I (already popped from its FIFO) by moving the
+  /// last entry into its place.
+  void removeEntry(uint32_t I);
 
   Cache L1;
   Cache L2;
   LatencyConfig Latency;
   obs::CycleAccount Account;
-  /// The in-flight prefetch queue, struct-of-arrays: the drain scan reads
-  /// only ready cycles and the partial-hit probe only block numbers, and
-  /// both run millions of times per prefetching-mode cell — parallel
-  /// arrays keep each scan inside a couple of host cache lines instead of
-  /// striding through 24-byte records.  Meta packs (StreamTag << 1) |
-  /// FillL2 (memory-sourced prefetches fill both levels).
-  std::vector<uint64_t> InFlightReady;
-  std::vector<uint64_t> InFlightBlock;
-  std::vector<uint64_t> InFlightMeta;
+  /// One in-flight prefetch, apart from its block number.
+  struct InFlightEntry {
+    uint64_t Ready = 0;
+    /// Issue order, for merging the two FIFOs.
+    uint64_t Seq = 0;
+    uint32_t Tag = 0;
+    /// Position in its FIFO's ring.
+    uint32_t RingPos = 0;
+    /// Memory-sourced (fills both levels, FIFO FromMemory) or L2-sourced.
+    bool FromMemory = false;
+  };
+
+  /// The in-flight prefetch queue: entries [0, InFlight) of two parallel
+  /// arrays sized MaxInFlightPrefetches, in no particular order.  Block
+  /// numbers sit apart so the partial-hit probe scans only them.  Each
+  /// entry also sits in the FIFO of its fill source (FromL2 fills only
+  /// L1, FromMemory fills both levels).  A drain pops the due FIFO heads
+  /// merged by issue sequence number, so fills land in issue order and a
+  /// drain touches only due entries.
+  std::vector<uint64_t> EntryBlock;
+  std::vector<InFlightEntry> Entries;
+  uint32_t InFlight = 0;
+  ReadyFifo FromL2;
+  ReadyFifo FromMemory;
+  uint64_t NextSeq = 0;
   /// min ready cycle over the queue; ~0 when empty (drainDuePrefetches).
   uint64_t NextReadyCycle = ~uint64_t{0};
   PrefetchListener *Listener = nullptr;
