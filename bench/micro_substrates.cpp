@@ -4,17 +4,24 @@
 //
 // google-benchmark microbenchmarks for the building blocks: Sequitur
 // append throughput, hot-stream analysis, DFSM construction and stepping,
-// and the cache/hierarchy models.  Not a paper experiment — engineering
-// sanity for the substrates everything else stands on.
+// the cache/hierarchy models, and the prefetcher-zoo engines over one
+// recorded demand stream.  Not a paper experiment — engineering sanity
+// for the substrates everything else stands on.
 //
 //===----------------------------------------------------------------------===//
 
 #include "analysis/FastAnalyzer.h"
 #include "analysis/PreciseAnalyzer.h"
+#include "core/Runtime.h"
 #include "dfsm/PrefixDfsm.h"
 #include "memsim/MemoryHierarchy.h"
+#include "prefetch/MarkovPrefetcher.h"
+#include "prefetch/PairTablePrefetcher.h"
+#include "prefetch/PrefetcherStack.h"
 #include "sequitur/Grammar.h"
 #include "support/Rng.h"
+#include "testing/ReferenceMarkov.h"
+#include "workloads/Workload.h"
 
 #include <benchmark/benchmark.h>
 
@@ -183,6 +190,131 @@ void BM_HierarchyPrefetch(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_HierarchyPrefetch);
+
+//===----------------------------------------------------------------------===//
+// Prefetcher-zoo engines.  Each runs over the same recorded stream: vpr's
+// demand accesses in Original mode, with the L1 hit/miss outcome of a
+// machine without prefetching.  A fresh engine and hierarchy per
+// iteration; the clock advances by each access's recorded latency, so
+// issued prefetches fill and leave the in-flight queue.
+//===----------------------------------------------------------------------===//
+
+/// Captures the unfiltered demand stream of a run.
+class StreamRecorder : public core::RuntimeObserver {
+public:
+  std::vector<prefetch::AccessEvent> Events;
+
+  void onAccess(vulcan::SiteId Site, memsim::Addr Addr, bool) override {
+    Events.push_back(prefetch::AccessEvent{Site, Addr, 0, false});
+  }
+};
+
+const std::vector<prefetch::AccessEvent> &recordedAccesses() {
+  static const std::vector<prefetch::AccessEvent> Stream = [] {
+    core::OptimizerConfig Config;
+    Config.Mode = core::RunMode::Original;
+    core::Runtime Rt(Config);
+    StreamRecorder Recorder;
+    Rt.setObserver(&Recorder);
+    std::unique_ptr<workloads::Workload> Vpr =
+        workloads::createWorkload("vpr");
+    Vpr->setup(Rt);
+    Vpr->run(Rt, Vpr->defaultIterations() / 50);
+    Rt.setObserver(nullptr);
+    // Without prefetches, cache contents depend only on the access
+    // sequence, so a replay yields the run's hit/miss outcomes.
+    memsim::MemoryHierarchy Replay;
+    for (prefetch::AccessEvent &E : Recorder.Events) {
+      E.Latency = Replay.access(E.Addr);
+      E.L1Miss = E.Latency > memsim::LatencyConfig().L1HitCycles;
+    }
+    return Recorder.Events;
+  }();
+  return Stream;
+}
+
+const std::vector<prefetch::AccessEvent> &recordedMisses() {
+  static const std::vector<prefetch::AccessEvent> Misses = [] {
+    std::vector<prefetch::AccessEvent> Out;
+    for (const prefetch::AccessEvent &E : recordedAccesses())
+      if (E.L1Miss)
+        Out.push_back(E);
+    return Out;
+  }();
+  return Misses;
+}
+
+template <typename MarkovT> void BM_MarkovOnMiss(benchmark::State &State) {
+  const std::vector<prefetch::AccessEvent> &Misses = recordedMisses();
+  for (auto _ : State) {
+    memsim::MemoryHierarchy Memory;
+    MarkovT Engine(prefetch::MarkovPrefetcherConfig(), /*AssignedTag=*/0);
+    for (const prefetch::AccessEvent &E : Misses) {
+      Engine.onMiss(E, Memory);
+      Memory.tick(E.Latency);
+    }
+    benchmark::DoNotOptimize(Engine.issued());
+  }
+  State.SetItemsProcessed(State.iterations() *
+                          static_cast<int64_t>(Misses.size()));
+}
+BENCHMARK_TEMPLATE(BM_MarkovOnMiss, prefetch::MarkovPrefetcher);
+BENCHMARK_TEMPLATE(BM_MarkovOnMiss, hds::testing::ReferenceMarkov);
+
+/// Routes fills back to one pair table, so completed prefetches chain as
+/// they do under the runtime's prefetcher stack.
+class PairChain : public memsim::PrefetchListener {
+public:
+  explicit PairChain(prefetch::PairTablePrefetcher &P) : Pair(P) {}
+  void onPrefetchFill(memsim::Addr BlockAddr, uint32_t,
+                      memsim::MemoryHierarchy &Hierarchy) override {
+    Pair.onFill(BlockAddr, Hierarchy);
+  }
+  void onPrefetchUseful(memsim::Addr, uint32_t) override {}
+  void onPrefetchLate(memsim::Addr, uint32_t) override {}
+  void onPrefetchEvicted(memsim::Addr, uint32_t) override {}
+
+private:
+  prefetch::PairTablePrefetcher &Pair;
+};
+
+void BM_PairOnMiss(benchmark::State &State) {
+  const std::vector<prefetch::AccessEvent> &Misses = recordedMisses();
+  for (auto _ : State) {
+    memsim::MemoryHierarchy Memory;
+    prefetch::PairTablePrefetcher Engine(prefetch::PairTableConfig(),
+                                         /*AssignedTag=*/0);
+    PairChain Chain(Engine);
+    Memory.setListener(&Chain);
+    for (const prefetch::AccessEvent &E : Misses) {
+      Engine.onMiss(E, Memory);
+      Memory.tick(E.Latency);
+    }
+    benchmark::DoNotOptimize(Engine.issued());
+  }
+  State.SetItemsProcessed(State.iterations() *
+                          static_cast<int64_t>(Misses.size()));
+}
+BENCHMARK(BM_PairOnMiss);
+
+void BM_DuelOnAccess(benchmark::State &State) {
+  const std::vector<prefetch::AccessEvent> &Accesses = recordedAccesses();
+  prefetch::StackConfig Config;
+  Config.Enabled.set(prefetch::Prefetcher::Duel, true);
+  for (auto _ : State) {
+    memsim::MemoryHierarchy Memory;
+    prefetch::PrefetcherStack Stack(Config);
+    Memory.setListener(&Stack);
+    for (const prefetch::AccessEvent &E : Accesses) {
+      Stack.onAccess(E.Site, E.Addr, E.Latency, E.L1Miss, Memory);
+      Memory.tick(E.Latency);
+    }
+    benchmark::DoNotOptimize(Memory.stats().PrefetchesIssued);
+  }
+  State.SetItemsProcessed(State.iterations() *
+                          static_cast<int64_t>(Accesses.size()));
+}
+BENCHMARK(BM_DuelOnAccess);
 
 } // namespace
 

@@ -16,7 +16,7 @@ using namespace hds::prefetch;
 DuelingSelector::DuelingSelector(
     const DuelConfig &Cfg, uint32_t AssignedTag,
     std::vector<std::unique_ptr<Prefetcher>> CandidatesIn)
-    : Prefetcher(Kind::Duel, AssignedTag), Config(Cfg),
+    : Prefetcher(Kind::Duel, AssignedTag, AccessHook), Config(Cfg),
       Candidates(std::move(CandidatesIn)) {
   assert(!Candidates.empty() && "duel needs at least one candidate");
   const size_t Cells =
@@ -100,9 +100,7 @@ void DuelingSelector::onAccess(const AccessEvent &Event,
     C.setIssueEnabled(I == Issuer);
     const uint64_t Before = C.issued();
     // Train everyone on everything; only the issuer's gate is open.
-    C.onAccess(Event, Hierarchy);
-    if (Event.L1Miss)
-      C.onMiss(Event, Hierarchy);
+    C.observe(Event, Hierarchy);
     if (!Converged)
       IssuedCount[cell(Bucket, I)] += C.issued() - Before;
   }

@@ -52,7 +52,8 @@ struct StreamPrefetcherConfig {
 class StreamPrefetcher : public Prefetcher {
 public:
   StreamPrefetcher(const StreamPrefetcherConfig &Cfg, uint32_t AssignedTag)
-      : Prefetcher(Kind::Stream, AssignedTag), Config(Cfg), Table(Cfg.TableEntries) {}
+      : Prefetcher(Kind::Stream, AssignedTag, MissHook), Config(Cfg),
+        Table(Cfg.TableEntries) {}
 
   /// Observes an L1 miss and extends or retrains the region's run.
   void onMiss(const AccessEvent &Event,

@@ -51,7 +51,8 @@ struct StridePrefetcherConfig {
 class StridePrefetcher : public Prefetcher {
 public:
   StridePrefetcher(const StridePrefetcherConfig &Cfg, uint32_t AssignedTag)
-      : Prefetcher(Kind::Stride, AssignedTag), Config(Cfg), Table(Cfg.TableEntries) {}
+      : Prefetcher(Kind::Stride, AssignedTag, AccessHook), Config(Cfg),
+        Table(Cfg.TableEntries) {}
 
   /// Observes a demand access and issues stride prefetches when the
   /// entry's stride is confirmed.
