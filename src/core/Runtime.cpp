@@ -52,9 +52,11 @@ Runtime::Runtime(const OptimizerConfig &Cfg)
     Prefetchers = std::make_unique<prefetch::PrefetcherStack>(
         Config.Prefetchers);
     // Prefetcher fill/useful/late/eviction feedback flows back through
-    // the hierarchy's listener; hot-stream tags start above the
-    // prefetcher tag range so the per-tag buckets never collide.
-    Hierarchy.setListener(Prefetchers.get());
+    // the hierarchy's listener (when some engine consumes it); hot-stream
+    // tags start above the prefetcher tag range so the per-tag buckets
+    // never collide.
+    if (Prefetchers->wantsFeedback())
+      Hierarchy.setListener(Prefetchers.get());
     Engine.setStreamTagBase(Prefetchers->tagCount());
   }
   if (Config.Tuning.Enabled) {

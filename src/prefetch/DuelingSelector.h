@@ -105,8 +105,7 @@ public:
 
 private:
   size_t bucketOf(memsim::Addr Addr) const {
-    return static_cast<size_t>((Addr >> Config.RegionShift) %
-                               Config.RegionBuckets);
+    return tableIndex(Addr >> Config.RegionShift, Config.RegionBuckets);
   }
   size_t cell(size_t Bucket, size_t Candidate) const {
     return Bucket * Candidates.size() + Candidate;

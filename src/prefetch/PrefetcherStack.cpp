@@ -83,7 +83,8 @@ void PrefetcherStack::onPrefetchFill(memsim::Addr BlockAddr,
                                      memsim::MemoryHierarchy &Hierarchy) {
   if (StreamTag >= Owners.size())
     return; // hot-stream or untagged prefetch, not ours
-  Owners[StreamTag]->onFill(BlockAddr, Hierarchy);
+  if (Owners[StreamTag]->observesFills())
+    Owners[StreamTag]->onFill(BlockAddr, Hierarchy);
 }
 
 void PrefetcherStack::onPrefetchUseful(memsim::Addr Addr, uint32_t StreamTag) {
@@ -104,7 +105,17 @@ void PrefetcherStack::onPrefetchEvicted(memsim::Addr BlockAddr,
                                         uint32_t StreamTag) {
   if (StreamTag >= Owners.size())
     return;
-  Owners[StreamTag]->onEvict(BlockAddr);
+  if (Owners[StreamTag]->observesEvictions())
+    Owners[StreamTag]->onEvict(BlockAddr);
+}
+
+bool PrefetcherStack::wantsFeedback() const {
+  if (Selector)
+    return true;
+  for (const Prefetcher *P : Owners)
+    if (P->observesFills() || P->observesEvictions())
+      return true;
+  return false;
 }
 
 void PrefetcherStack::setTuner(TuningPolicy *Policy) {

@@ -14,7 +14,7 @@ using namespace hds::prefetch;
 void StridePrefetcher::onAccess(const AccessEvent &Event,
                                 memsim::MemoryHierarchy &Hierarchy) {
   countTrain();
-  Entry &E = Table[static_cast<size_t>(Event.Site) % Table.size()];
+  Entry &E = Table[tableIndex(Event.Site, Table.size())];
 
   if (E.Pc != Event.Site) {
     // Direct-mapped replacement: a new pc takes over the entry.
