@@ -170,94 +170,3 @@ std::string hds::cli::prefetcherFlagsUsage() {
   }
   return Out;
 }
-
-namespace {
-
-/// One row per fleet flag: spelling, operand placeholder (null = no
-/// operand), which sides register it, and how it lands in FleetOptions.
-/// Registration and usage rendering both walk this table — the single
-/// source of truth the serve/worker tools share.
-struct FleetRow {
-  const char *Flag;
-  const char *Operand; // nullptr = boolean flag
-  bool ServeSide;
-  bool WorkerSide;
-  void (*Register)(OptionSet &, FleetOptions &);
-};
-
-constexpr FleetRow FleetTable[] = {
-    {"--serve", "ADDR", true, false,
-     [](OptionSet &O, FleetOptions &T) { O.str("--serve", T.ServeAddr); }},
-    {"--workers", "N", true, false,
-     [](OptionSet &O, FleetOptions &T) { O.uns("--workers", T.Workers); }},
-    {"--worker", "ADDR", false, true,
-     [](OptionSet &O, FleetOptions &T) { O.str("--worker", T.WorkerAddr); }},
-    {"--job-timeout", "MS", true, true,
-     [](OptionSet &O, FleetOptions &T) {
-       O.u32("--job-timeout", T.JobTimeoutMs);
-     }},
-    {"--idle-timeout", "MS", true, false,
-     [](OptionSet &O, FleetOptions &T) {
-       O.u32("--idle-timeout", T.IdleTimeoutMs);
-     }},
-    {"--token", "SECRET", true, true,
-     [](OptionSet &O, FleetOptions &T) { O.str("--token", T.Token); }},
-    {"--allow-remote", nullptr, true, false,
-     [](OptionSet &O, FleetOptions &T) {
-       O.flag("--allow-remote", T.AllowRemote);
-     }},
-    {"--heartbeat-interval", "MS", true, true,
-     [](OptionSet &O, FleetOptions &T) {
-       O.u32("--heartbeat-interval", T.HeartbeatIntervalMs);
-     }},
-    {"--heartbeat-misses", "N", true, false,
-     [](OptionSet &O, FleetOptions &T) {
-       O.uns("--heartbeat-misses", T.HeartbeatMisses);
-     }},
-    {"--checkpoint", "FILE", true, false,
-     [](OptionSet &O, FleetOptions &T) {
-       O.str("--checkpoint", T.CheckpointPath);
-     }},
-    {"--cores", "N", false, true,
-     [](OptionSet &O, FleetOptions &T) { O.u64("--cores", T.Cores); }},
-    {"--memory", "MB", false, true,
-     [](OptionSet &O, FleetOptions &T) { O.u64("--memory", T.MemoryMB); }},
-};
-
-void addFleetSide(OptionSet &Opts, FleetOptions &Target, bool ServeSide) {
-  for (const FleetRow &Row : FleetTable)
-    if (ServeSide ? Row.ServeSide : Row.WorkerSide)
-      Row.Register(Opts, Target);
-}
-
-std::string fleetSideUsage(bool ServeSide) {
-  std::string Out;
-  for (const FleetRow &Row : FleetTable) {
-    if (!(ServeSide ? Row.ServeSide : Row.WorkerSide))
-      continue;
-    Out += " [";
-    Out += Row.Flag;
-    if (Row.Operand) {
-      Out += ' ';
-      Out += Row.Operand;
-    }
-    Out += ']';
-  }
-  return Out;
-}
-
-} // namespace
-
-void hds::cli::addFleetServeOptions(OptionSet &Opts, FleetOptions &Target) {
-  addFleetSide(Opts, Target, true);
-}
-
-void hds::cli::addFleetWorkerOptions(OptionSet &Opts, FleetOptions &Target) {
-  addFleetSide(Opts, Target, false);
-}
-
-std::string hds::cli::fleetServeOptionsUsage() { return fleetSideUsage(true); }
-
-std::string hds::cli::fleetWorkerOptionsUsage() {
-  return fleetSideUsage(false);
-}

@@ -118,52 +118,6 @@ void addTunedFlag(OptionSet &Opts, bool &Tuned);
 /// fragment for addPrefetcherFlags, generated from the roster.
 std::string prefetcherFlagsUsage();
 
-/// The fleet-service vocabulary shared by hds_fleet and hds_matrix:
-/// one value type holding every distributed knob, registered against an
-/// OptionSet by the side (serve/worker) that understands it.  Flag
-/// spellings, operand names, and side membership live in one internal
-/// table, so a tool's usage text (fleetServeOptionsUsage /
-/// fleetWorkerOptionsUsage) can never drift from what its parser
-/// accepts.
-struct FleetOptions {
-  /// --serve ADDR: listen address ("host:port" or "unix:/path").
-  std::string ServeAddr;
-  /// --workers N: local worker processes forked by the serving tool.
-  unsigned Workers = 0;
-  /// --worker ADDR: run as a worker against this coordinator.
-  std::string WorkerAddr;
-  /// --job-timeout MS (both sides).
-  uint32_t JobTimeoutMs = 120000;
-  /// --idle-timeout MS (serve side).
-  uint32_t IdleTimeoutMs = 30000;
-  /// --token SECRET (both sides): shared secret for the hello.
-  std::string Token;
-  /// --allow-remote (serve side): permit non-loopback listeners.
-  bool AllowRemote = false;
-  /// --heartbeat-interval MS (both sides; 0 disables).
-  uint32_t HeartbeatIntervalMs = 1000;
-  /// --heartbeat-misses N (serve side).
-  unsigned HeartbeatMisses = 5;
-  /// --checkpoint FILE (serve side): journal completed cells here.
-  std::string CheckpointPath;
-  /// --cores N / --memory MB (worker side): advisory capabilities.
-  uint64_t Cores = 0;
-  uint64_t MemoryMB = 0;
-};
-
-/// Registers the serve-side fleet options (--serve --workers
-/// --job-timeout --idle-timeout --token --allow-remote
-/// --heartbeat-interval --heartbeat-misses --checkpoint).
-void addFleetServeOptions(OptionSet &Opts, FleetOptions &Target);
-/// Registers the worker-side fleet options (--worker --job-timeout
-/// --token --heartbeat-interval --cores --memory).
-void addFleetWorkerOptions(OptionSet &Opts, FleetOptions &Target);
-
-/// Usage fragments generated from the same table the parsers register
-/// from, e.g. " [--serve ADDR] [--workers N] ...".
-std::string fleetServeOptionsUsage();
-std::string fleetWorkerOptionsUsage();
-
 } // namespace cli
 } // namespace hds
 

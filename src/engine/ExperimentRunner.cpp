@@ -1,4 +1,4 @@
-//===- engine/ExperimentRunner.cpp - Run one experiment spec --------------===//
+//===- engine/ExperimentRunner.cpp - Run experiment specs -----------------===//
 //
 // Part of the hds project (PLDI 2002 hot data stream prefetching repro).
 //
@@ -7,10 +7,13 @@
 #include "engine/ExperimentRunner.h"
 
 #include "core/Runtime.h"
+#include "engine/JobScheduler.h"
+#include "engine/ResultSink.h"
 #include "support/Rng.h"
 #include "workloads/Workload.h"
 
 #include <memory>
+#include <utility>
 
 using namespace hds;
 using namespace hds::engine;
@@ -63,4 +66,36 @@ RunResult hds::engine::runExperiment(const ExperimentSpec &Spec,
   Result.Streams = Rt.streamPrefetchStats();
   Result.Prefetchers = Rt.prefetcherStats();
   return Result;
+}
+
+std::vector<RunResult>
+hds::engine::runMatrix(std::span<const ExperimentSpec> Specs, unsigned Jobs,
+                       ResultCallback OnResult,
+                       const std::atomic<bool> *Cancel) {
+  ResultSink Sink(Specs.size());
+  if (OnResult)
+    Sink.setCallback(std::move(OnResult));
+  {
+    JobScheduler Scheduler(Jobs);
+    for (std::size_t Index = 0; Index < Specs.size(); ++Index) {
+      const ExperimentSpec &Spec = Specs[Index];
+      Scheduler.submit([Index, &Spec, &Sink, Cancel, &Scheduler] {
+        if (Cancel && Cancel->load(std::memory_order_relaxed)) {
+          // Drop everything still queued too, so cancellation takes
+          // effect promptly instead of once per remaining job.
+          Scheduler.cancel();
+          return;
+        }
+        Sink.deliver(Index, runExperiment(Spec));
+      });
+    }
+    Scheduler.wait();
+  }
+  std::vector<RunResult> Results = Sink.take();
+  // Dropped jobs never delivered; label their slots with the spec they
+  // would have run so every result is self-describing.
+  for (std::size_t Index = 0; Index < Results.size(); ++Index)
+    if (Results[Index].State == RunResult::Status::Cancelled)
+      Results[Index].Spec = Specs[Index];
+  return Results;
 }

@@ -1,15 +1,14 @@
-//===- engine/ExperimentRunner.h - Run one experiment spec -----*- C++ -*-===//
+//===- engine/ExperimentRunner.h - Run experiment specs --------*- C++ -*-===//
 //
 // Part of the hds project (PLDI 2002 hot data stream prefetching repro).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Executes one experiment spec to completion (runExperiment).  Each run
-/// builds a private Runtime, so concurrent runs share no mutable state.
-/// Matrix execution — many specs sharded across threads or worker
-/// processes — lives behind the Executor interface (engine/Executor.h);
-/// this header is the single-job primitive every executor calls.
+/// Executes one experiment spec to completion (runExperiment), and a
+/// whole matrix of them across a local thread pool (runMatrix).  Each
+/// run builds a private Runtime, so concurrent runs share no mutable
+/// state.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,7 +24,11 @@
 #include "obs/Metrics.h"
 #include "obs/PrefetchStats.h"
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -104,6 +107,22 @@ using ConfigTweak = void (*)(core::OptimizerConfig &);
 /// Runs one spec to completion in the calling thread.
 RunResult runExperiment(const ExperimentSpec &Spec,
                         ConfigTweak Tweak = nullptr);
+
+/// Progress callback of runMatrix: the spec index and its result.
+using ResultCallback = std::function<void(std::size_t, const RunResult &)>;
+
+/// Runs every spec across \p Jobs worker threads (engine/JobScheduler.h,
+/// clamped to at least one) and returns the results in spec order
+/// (engine/ResultSink.h), so the aggregate — and the JSON serialized from
+/// it — is byte-identical for any \p Jobs.  \p OnResult, when set, fires
+/// once per finished spec in completion order, serialized.  Once
+/// \p Cancel (when non-null) reads true, specs not yet started are
+/// dropped: their slots come back Status::Cancelled, still carrying
+/// their spec.
+std::vector<RunResult> runMatrix(std::span<const ExperimentSpec> Specs,
+                                 unsigned Jobs = 1,
+                                 ResultCallback OnResult = nullptr,
+                                 const std::atomic<bool> *Cancel = nullptr);
 
 } // namespace engine
 } // namespace hds

@@ -26,8 +26,7 @@ void ResultSink::deliver(std::size_t Index, RunResult Result) {
     Callback(Index, Results[Index]);
 }
 
-void ResultSink::setCallback(
-    std::function<void(std::size_t, const RunResult &)> NewCallback) {
+void ResultSink::setCallback(ResultCallback NewCallback) {
   std::lock_guard<std::mutex> Lock(Mutex);
   Callback = std::move(NewCallback);
 }

@@ -20,7 +20,6 @@
 #include "engine/ExperimentRunner.h"
 
 #include <cstddef>
-#include <functional>
 #include <mutex>
 #include <vector>
 
@@ -38,8 +37,7 @@ public:
   void deliver(std::size_t Index, RunResult Result);
 
   /// Progress callback invoked by deliver (completion order, serialized).
-  void setCallback(
-      std::function<void(std::size_t, const RunResult &)> Callback);
+  void setCallback(ResultCallback Callback);
 
   /// Number of slots filled so far.
   std::size_t completed() const;
@@ -54,7 +52,7 @@ private:
   std::vector<RunResult> Results;  // hds-guarded-by(Mutex)
   std::vector<bool> Filled;        // hds-guarded-by(Mutex)
   std::size_t Completed = 0;       // hds-guarded-by(Mutex)
-  std::function<void(std::size_t, const RunResult &)> Callback; // hds-guarded-by(Mutex)
+  ResultCallback Callback;         // hds-guarded-by(Mutex)
 };
 
 } // namespace engine

@@ -561,3 +561,20 @@ bool hds::engine::diffResults(const std::string &JsonA,
       Report.OnlyInB.push_back(B.Key);
   return true;
 }
+
+bool hds::engine::readResultCells(const std::string &Json,
+                                  std::vector<ResultCell> &Out,
+                                  std::string &Error) {
+  JsonValue Doc;
+  std::vector<Cell> Cells;
+  if (!extractCells(Json, "document", Doc, Cells, Error))
+    return false;
+  for (const Cell &C : Cells) {
+    ResultCell &Row = Out.emplace_back();
+    Row.Key = C.Key;
+    Row.Status = C.Status;
+    for (const auto &[Path, Value] : C.Metrics)
+      Row.Metrics.emplace_back(Path, scalarToText(*Value));
+  }
+  return true;
+}

@@ -20,6 +20,9 @@
 /// regressed() is the CI verdict: true for regressions, metric changes,
 /// status changes, or unmatched cells.  Improvements alone stay green.
 ///
+/// readResultCells exposes the same parse: the cells a diff would pair,
+/// each flattened to its metric paths and values.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef HDS_ENGINE_RESULTSDIFF_H
@@ -27,6 +30,7 @@
 
 #include <cstddef>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace hds {
@@ -78,6 +82,22 @@ struct DiffReport {
 bool diffResults(const std::string &JsonA, const std::string &JsonB,
                  const DiffOptions &Opts, DiffReport &Report,
                  std::string &Error);
+
+/// One result cell of a parsed document: its identity key (how --diff
+/// pairs cells), its status, and every other scalar as (path, value
+/// text) in writer order — "cycles", "memory.stall_cycles",
+/// "phases[0].traced_refs".
+struct ResultCell {
+  std::string Key;
+  std::string Status;
+  std::vector<std::pair<std::string, std::string>> Metrics;
+};
+
+/// Parses one hds-matrix-results-v1 document into \p Out, in document
+/// order.  Returns false, with a description in \p Error, on input that
+/// diffResults would reject.
+bool readResultCells(const std::string &Json, std::vector<ResultCell> &Out,
+                     std::string &Error);
 
 } // namespace engine
 } // namespace hds

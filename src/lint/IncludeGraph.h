@@ -27,7 +27,7 @@
 namespace hds {
 namespace lint {
 
-/// Include paths of \p File written with quotes ("engine/Wire.h").
+/// Include paths of \p File written with quotes ("engine/ResultsJson.h").
 std::vector<std::string> quotedIncludes(const LexedFile &File);
 
 /// Include paths of \p File written with angle brackets (<vector>).

@@ -1025,7 +1025,7 @@ const std::vector<RuleInfo> &ruleCatalog() {
        "holding that mutex (lock_guard/scoped_lock/unique_lock or an "
        "hds-requires function)"},
       {"W1", nullptr,
-       "the wire/metric schema must extend tests/golden/schema.lock "
+       "the results schema must extend tests/golden/schema.lock "
        "append-only: no reorder, removal, or renumber"},
       {"E1", "exhaustive-ok",
        "switches over hds-exhaustive enums cover every enumerator, with "

@@ -16,7 +16,7 @@
 ///   C1  cycle accounting must route through the MemoryHierarchy API
 ///   D5  cycle/heat accounting must stay in integer arithmetic
 ///   T1  hds-guarded-by fields mutate only under their mutex
-///   W1  the wire/metric schema matches the committed schema.lock
+///   W1  the results schema matches the committed schema.lock
 ///   E1  switches over hds-exhaustive enums cover every enumerator
 ///   SUP malformed hds-lint suppression comments
 ///   STALE suppressions whose rule no longer fires (--stale-suppressions)

@@ -1,4 +1,4 @@
-//===- src/lint/SchemaLock.cpp - W1 wire/metric schema lock ---------------===//
+//===- src/lint/SchemaLock.cpp - W1 results schema lock -------------------===//
 //
 // Part of the hds project (PLDI 2002 hot data stream prefetching repro).
 //
@@ -30,23 +30,6 @@ std::vector<SchemaSection> collectSchema(const std::vector<LexedFile> &Files) {
   std::vector<SchemaSection> Sections;
   for (const LexedFile &File : Files) {
     const Toks &T = File.Toks;
-
-    // The wire protocol version constant.
-    if (inTree(File.Path, "src/engine"))
-      for (size_t I = 0; I + 2 < T.size(); ++I)
-        if (isIdent(T, I, "ProtocolVersion") && isPunct(T, I + 1, "=") &&
-            T[I + 2].K == Token::Number) {
-          SchemaSection S;
-          S.Kind = "const";
-          S.Name = "wire";
-          S.Path = File.Path;
-          S.Line = T[I].Line;
-          S.Entries.push_back(
-              {"ProtocolVersion",
-               std::strtoll(T[I + 2].Text.c_str(), nullptr, 0)});
-          Sections.push_back(std::move(S));
-          break;
-        }
 
     // Enums marked hds-schema-enum.
     for (const EnumDef &E : findEnums(File)) {
@@ -98,7 +81,7 @@ std::vector<SchemaSection> collectSchema(const std::vector<LexedFile> &Files) {
 std::string renderSchemaLock(const std::vector<SchemaSection> &Sections) {
   std::string Out;
   Out += "# hds-schema-lock-v1\n";
-  Out += "# Canonical snapshot of the wire/metric schema (docs/engine.md).\n";
+  Out += "# Canonical snapshot of the results schema (docs/engine.md).\n";
   Out += "# Regenerate after a legal append with:\n";
   Out += "#   build/tools/hds_lint --write-schema-lock "
          "tests/golden/schema.lock src tools bench tests\n";
@@ -209,23 +192,13 @@ void compareSchema(const std::vector<SchemaSection> &Locked,
         break;
       }
       if (LE.Value != CE.Value) {
-        // The wire protocol version is the one sanctioned mutation: it
-        // must move forward when the frame payload evolves (skew is
-        // rejected at the frame header, so old readers are never lied
-        // to).  A bump only leaves the lock stale until regenerated;
-        // moving backwards is still a finding.
-        if (L.Kind == "const" && L.Name == "wire" &&
-            LE.Name == "ProtocolVersion" && CE.Value > LE.Value) {
-          Stale = true;
-          continue;
-        }
         Out.push_back({"W1", C->Path, C->Line,
                        "[" + L.Kind + " " + L.Name + "] entry '" + LE.Name +
                            "' was renumbered from " +
                            std::to_string(LE.Value) + " to " +
                            std::to_string(CE.Value),
-                       "existing wire tags and enum values are frozen; "
-                       "append a new entry instead"});
+                       "existing enum values and metric ordinals are "
+                       "frozen; append a new entry instead"});
         break;
       }
     }

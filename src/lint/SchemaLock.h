@@ -1,17 +1,16 @@
-//===- src/lint/SchemaLock.h - W1 wire/metric schema lock ------*- C++ -*-===//
+//===- src/lint/SchemaLock.h - W1 results schema lock ----------*- C++ -*-===//
 //
 // Part of the hds project (PLDI 2002 hot data stream prefetching repro).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// W1 schema lock: the append-only wire/metric schema policy, machine
-/// enforced.  The collector snapshots three kinds of schema surface from
-/// the lexed tree:
+/// W1 schema lock: the append-only policy of the results JSON schema,
+/// machine enforced.  The collector snapshots two kinds of schema surface
+/// from the lexed tree:
 ///
-///   const wire          the Wire.h ProtocolVersion constant
-///   enum <Name>         enums marked `// hds-schema-enum` (frame types,
-///                       spec/result payload tags) with resolved values
+///   enum <Name>         enums marked `// hds-schema-enum` (the
+///                       prefetcher Kind) with resolved values
 ///   metrics <visitFn>   the ordered metric-id list of each
 ///                       `visit*Metrics` enumeration function
 ///
@@ -38,12 +37,12 @@ namespace lint {
 
 struct SchemaEntry {
   std::string Name;
-  long long Value = 0; ///< enum value, const value, or metric ordinal
+  long long Value = 0; ///< enum value or metric ordinal
 };
 
 struct SchemaSection {
-  std::string Kind; ///< "const", "enum", or "metrics"
-  std::string Name; ///< "wire", "FrameType", "visitRunStatsMetrics", ...
+  std::string Kind; ///< "enum" or "metrics"
+  std::string Name; ///< "Kind", "visitRunStatsMetrics", ...
   std::vector<SchemaEntry> Entries;
   std::string Path; ///< defining source file, or the lock file when parsed
   unsigned Line = 0;

@@ -11,13 +11,14 @@
 /// `visit*Metrics` enumerations (core/RunStats.h, memsim/Cache.h,
 /// memsim/MemoryHierarchy.h, obs/CycleAccount.h, obs/PrefetchStats.h)
 /// pair each definition with a reference to the live field, in a fixed
-/// append-only order.  That single enumeration drives JSON emission, the
-/// binary wire encoding, and the metric registry (engine/MetricRegistry.h),
-/// so the three can never disagree on field names or order.
+/// append-only order.  That single enumeration drives JSON emission and
+/// the metric registry (engine/MetricRegistry.h), so the two can never
+/// disagree on field names or order.
 ///
 /// Append-only contract: new metrics are appended at the end of their
-/// block's visit function, never reordered or removed; removing or
-/// reordering requires a wire protocol version bump (engine/Wire.h).
+/// block's visit function, never reordered or removed, so results
+/// documents written before the change still diff cell for cell; hds_lint
+/// rule W1 enforces it against tests/golden/schema.lock.
 ///
 //===----------------------------------------------------------------------===//
 

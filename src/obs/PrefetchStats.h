@@ -57,7 +57,7 @@ struct PrefetchClassCounts {
 
 /// One installed hot data stream's identity plus its classification
 /// counters — the per-stream row of the effectiveness report and the
-/// element of the wire/JSON "streams" block.
+/// element of the results JSON "streams" block.
 struct StreamPrefetchStats {
   uint64_t StreamTag = 0;
   /// Index of the optimization cycle that installed the stream.
@@ -144,7 +144,7 @@ void visitStreamPrefetchStatsMetrics(StreamPrefetchStatsT &&Stats,
 
 /// One hardware prefetcher's identity plus its classification counters —
 /// the per-prefetcher row of the zoo report and the element of the
-/// wire/JSON "prefetchers" block (src/prefetch/).  Classification
+/// results JSON "prefetchers" block (src/prefetch/).  Classification
 /// counters are joined from the hierarchy's per-tag buckets exactly like
 /// the per-stream rows above; Trains counts table updates inside the
 /// prefetcher itself.  SelectedRegions / SampledEpochs are only non-zero

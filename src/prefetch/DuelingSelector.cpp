@@ -9,6 +9,7 @@
 #include "obs/PrefetchStats.h"
 
 #include <cassert>
+#include <stdexcept>
 
 using namespace hds;
 using namespace hds::prefetch;
@@ -19,6 +20,9 @@ DuelingSelector::DuelingSelector(
     : Prefetcher(Kind::Duel, AssignedTag, AccessHook), Config(Cfg),
       Candidates(std::move(CandidatesIn)) {
   assert(!Candidates.empty() && "duel needs at least one candidate");
+  if (Config.RegionBuckets == 0)
+    throw std::invalid_argument(
+        "DuelConfig: RegionBuckets must be at least 1");
   const size_t Cells =
       static_cast<size_t>(Config.RegionBuckets) * Candidates.size();
   UsefulCount.assign(Cells, 0);

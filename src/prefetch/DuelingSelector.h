@@ -50,7 +50,8 @@ struct PrefetcherStats;
 }
 namespace prefetch {
 
-/// Knobs for the dueling selector.
+/// Knobs for the dueling selector.  The constructor rejects (with
+/// std::invalid_argument) RegionBuckets = 0.
 struct DuelConfig {
   /// log2 of the dueling region size in bytes (4 KiB default).
   uint32_t RegionShift = 12;

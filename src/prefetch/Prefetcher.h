@@ -75,8 +75,8 @@ class Prefetcher {
 public:
   /// The zoo roster.  Unscoped on purpose: dispatch inside this class
   /// uses bare enumerator case labels, the pattern hds_lint rule E1
-  /// checks for exhaustiveness in class scope.  Values are wire-visible
-  /// (the "kind" gauge of the prefetchers result block) and append-only.
+  /// checks for exhaustiveness in class scope.  Values are visible in
+  /// the results JSON (the "kind" gauge of the prefetchers result block) and append-only.
   // hds-schema-enum, hds-exhaustive
   enum Kind : uint8_t {
     Stride = 0,    ///< pc-indexed reference prediction table (Chen & Baer)

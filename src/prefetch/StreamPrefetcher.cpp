@@ -6,8 +6,19 @@
 
 #include "prefetch/StreamPrefetcher.h"
 
+#include <stdexcept>
+
 using namespace hds;
 using namespace hds::prefetch;
+
+StreamPrefetcher::StreamPrefetcher(const StreamPrefetcherConfig &Cfg,
+                                   uint32_t AssignedTag)
+    : Prefetcher(Kind::Stream, AssignedTag, MissHook), Config(Cfg) {
+  if (Cfg.TableEntries == 0)
+    throw std::invalid_argument(
+        "StreamPrefetcherConfig: TableEntries must be at least 1");
+  Table.resize(Cfg.TableEntries);
+}
 
 void StreamPrefetcher::onMiss(const AccessEvent &Event,
                               memsim::MemoryHierarchy &Hierarchy) {

@@ -34,7 +34,8 @@
 namespace hds {
 namespace prefetch {
 
-/// Knobs for the stream prefetcher.
+/// Knobs for the stream prefetcher.  The constructor rejects (with
+/// std::invalid_argument) TableEntries = 0.
 struct StreamPrefetcherConfig {
   /// Detector entries (direct mapped by region number).
   uint32_t TableEntries = 64;
@@ -51,9 +52,7 @@ struct StreamPrefetcherConfig {
 /// The stream detector table.
 class StreamPrefetcher : public Prefetcher {
 public:
-  StreamPrefetcher(const StreamPrefetcherConfig &Cfg, uint32_t AssignedTag)
-      : Prefetcher(Kind::Stream, AssignedTag, MissHook), Config(Cfg),
-        Table(Cfg.TableEntries) {}
+  StreamPrefetcher(const StreamPrefetcherConfig &Cfg, uint32_t AssignedTag);
 
   /// Observes an L1 miss and extends or retrains the region's run.
   void onMiss(const AccessEvent &Event,

@@ -7,9 +7,19 @@
 #include "prefetch/StridePrefetcher.h"
 
 #include <cstdlib>
+#include <stdexcept>
 
 using namespace hds;
 using namespace hds::prefetch;
+
+StridePrefetcher::StridePrefetcher(const StridePrefetcherConfig &Cfg,
+                                   uint32_t AssignedTag)
+    : Prefetcher(Kind::Stride, AssignedTag, AccessHook), Config(Cfg) {
+  if (Cfg.TableEntries == 0)
+    throw std::invalid_argument(
+        "StridePrefetcherConfig: TableEntries must be at least 1");
+  Table.resize(Cfg.TableEntries);
+}
 
 void StridePrefetcher::onAccess(const AccessEvent &Event,
                                 memsim::MemoryHierarchy &Hierarchy) {

@@ -36,7 +36,8 @@
 namespace hds {
 namespace prefetch {
 
-/// Knobs for the stride prefetcher.
+/// Knobs for the stride prefetcher.  The constructor rejects (with
+/// std::invalid_argument) TableEntries = 0.
 struct StridePrefetcherConfig {
   /// Number of reference-prediction-table entries (direct mapped by pc).
   uint32_t TableEntries = 256;
@@ -50,9 +51,7 @@ struct StridePrefetcherConfig {
 /// The reference prediction table.
 class StridePrefetcher : public Prefetcher {
 public:
-  StridePrefetcher(const StridePrefetcherConfig &Cfg, uint32_t AssignedTag)
-      : Prefetcher(Kind::Stride, AssignedTag, AccessHook), Config(Cfg),
-        Table(Cfg.TableEntries) {}
+  StridePrefetcher(const StridePrefetcherConfig &Cfg, uint32_t AssignedTag);
 
   /// Observes a demand access and issues stride prefetches when the
   /// entry's stride is confirmed.

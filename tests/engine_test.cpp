@@ -3,7 +3,7 @@
 // Part of the hds project (PLDI 2002 hot data stream prefetching repro).
 //
 // Tests for src/engine: the JobScheduler worker pool, the spec-order
-// ResultSink merge, and the determinism contract of the Executor API —
+// ResultSink merge, and the determinism contract of runMatrix —
 // the aggregate JSON must be byte-identical for any job count, shard
 // failures must not corrupt or reorder the merged output, and
 // cancellation must leave no leaked threads (this binary also runs
@@ -11,12 +11,11 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "engine/Executor.h"
-#include "engine/ExecutorFactory.h"
 #include "engine/ExperimentRunner.h"
 #include "engine/ExperimentSpec.h"
 #include "engine/JobScheduler.h"
 #include "engine/ResultSink.h"
+#include "engine/ResultsDiff.h"
 #include "engine/ResultsJson.h"
 
 #include <gtest/gtest.h>
@@ -200,7 +199,7 @@ TEST(ExperimentSpec, BadFilterReportsErrorAndLeavesSpecsAlone) {
 }
 
 //===----------------------------------------------------------------------===//
-// Local executor determinism and failure isolation
+// runMatrix determinism and failure isolation
 //===----------------------------------------------------------------------===//
 
 std::vector<ExperimentSpec> smallMatrix() {
@@ -224,9 +223,7 @@ std::vector<ExperimentSpec> smallMatrix() {
 
 std::string jsonForJobs(const std::vector<ExperimentSpec> &Specs,
                         unsigned Jobs) {
-  FleetConfig Config;
-  Config.Jobs = Jobs;
-  return resultsToJson(makeLocal(Config)->run(Specs));
+  return resultsToJson(runMatrix(Specs, Jobs));
 }
 
 TEST(RunMatrix, AggregateJsonIsByteIdenticalAcrossJobCounts) {
@@ -249,9 +246,7 @@ TEST(RunMatrix, FailedShardKeepsOrderAndDoesNotPoisonNeighbours) {
   Specs.push_back(Bad);
   Specs.push_back(Good);
 
-  FleetConfig Config;
-  Config.Jobs = 2;
-  const std::vector<RunResult> Results = makeLocal(Config)->run(Specs);
+  const std::vector<RunResult> Results = runMatrix(Specs, 2);
   ASSERT_EQ(Results.size(), 3u);
   EXPECT_TRUE(Results[0].ok());
   EXPECT_EQ(Results[1].State, RunResult::Status::Error);
@@ -266,13 +261,12 @@ TEST(RunMatrix, CancellationKeepsSpecOrderAndJoinsCleanly) {
   const std::vector<ExperimentSpec> Specs = smallMatrix();
   std::atomic<bool> Cancel{false};
 
-  FleetConfig Config;
-  Config.Jobs = 1; // serial: deliveries happen in spec order
-  Config.CancelRequested = &Cancel;
-  const std::vector<RunResult> Results = makeLocal(Config)->run(
-      Specs, [&Cancel](std::size_t, const RunResult &) {
+  const std::vector<RunResult> Results = runMatrix(
+      Specs, /*Jobs=*/1, // serial: deliveries happen in spec order
+      [&Cancel](std::size_t, const RunResult &) {
         Cancel.store(true); // request cancellation after the first delivery
-      });
+      },
+      &Cancel);
 
   ASSERT_EQ(Results.size(), Specs.size());
   EXPECT_TRUE(Results[0].ok());
@@ -285,6 +279,75 @@ TEST(RunMatrix, CancellationKeepsSpecOrderAndJoinsCleanly) {
       ++Cancelled;
   }
   EXPECT_GE(Cancelled, 1u);
+}
+
+//===----------------------------------------------------------------------===//
+// Results diffing (the --diff surface)
+//===----------------------------------------------------------------------===//
+
+TEST(ResultsDiff, IdenticalDocumentsCompareClean) {
+  const std::string Json = jsonForJobs(smallMatrix(), 2);
+  DiffReport Report;
+  std::string Error;
+  ASSERT_TRUE(diffResults(Json, Json, DiffOptions(), Report, Error))
+      << Error;
+  EXPECT_FALSE(Report.regressed());
+  EXPECT_EQ(Report.CellsCompared, smallMatrix().size());
+}
+
+TEST(ResultsDiff, CycleGrowthIsARegressionAndThresholdSilencesIt) {
+  std::vector<ExperimentSpec> Specs;
+  ExperimentSpec Spec;
+  Spec.Workload = "vpr";
+  Spec.Iterations = 200;
+  Specs.push_back(Spec);
+  std::vector<RunResult> Results = runMatrix(Specs);
+  const std::string Before = resultsToJson(Results);
+  Results[0].Cycles += Results[0].Cycles / 100 + 1; // ~1% slower
+  const std::string After = resultsToJson(Results);
+
+  DiffReport Exact;
+  std::string Error;
+  ASSERT_TRUE(diffResults(Before, After, DiffOptions(), Exact, Error))
+      << Error;
+  EXPECT_TRUE(Exact.regressed());
+  ASSERT_EQ(Exact.Regressions.size(), 1u);
+  EXPECT_NE(Exact.Regressions[0].Detail.find("cycles"), std::string::npos);
+
+  DiffOptions Loose;
+  Loose.ThresholdPct = 50.0;
+  DiffReport Tolerant;
+  ASSERT_TRUE(diffResults(Before, After, Loose, Tolerant, Error)) << Error;
+  EXPECT_TRUE(Tolerant.Regressions.empty());
+}
+
+TEST(ResultsDiff, StatusFlipAndMissingCellsAreReported) {
+  std::vector<ExperimentSpec> Specs = smallMatrix();
+  std::vector<RunResult> Results = runMatrix(Specs);
+  const std::string Before = resultsToJson(Results);
+
+  Results[0].State = RunResult::Status::Error;
+  Results[0].Error = "synthetic failure";
+  Results.pop_back();
+  const std::string After = resultsToJson(Results);
+
+  DiffReport Report;
+  std::string Error;
+  ASSERT_TRUE(diffResults(Before, After, DiffOptions(), Report, Error))
+      << Error;
+  EXPECT_TRUE(Report.regressed());
+  EXPECT_EQ(Report.StatusChanges.size(), 1u);
+  EXPECT_EQ(Report.OnlyInA.size(), 1u);
+  EXPECT_TRUE(Report.OnlyInB.empty());
+}
+
+TEST(ResultsDiff, RejectsForeignDocuments) {
+  DiffReport Report;
+  std::string Error;
+  EXPECT_FALSE(diffResults("{]", "{}", DiffOptions(), Report, Error));
+  EXPECT_FALSE(Error.empty());
+  EXPECT_FALSE(diffResults("{\"schema\": \"something-else\"}", "{}",
+                           DiffOptions(), Report, Error));
 }
 
 //===----------------------------------------------------------------------===//
@@ -302,7 +365,7 @@ TEST(ResultsJson, OverheadIsRelativeToTheOriginalBaseline) {
   Specs.push_back(Base);
   Specs.push_back(Opt);
 
-  const std::vector<RunResult> Results = makeLocal()->run(Specs);
+  const std::vector<RunResult> Results = runMatrix(Specs);
   const std::string Json = resultsToJson(Results);
   // The baseline's overhead over itself is exactly zero.
   EXPECT_NE(Json.find("\"overhead_pct\": 0.0000"), std::string::npos);
@@ -318,7 +381,7 @@ TEST(ResultsJson, TimingObjectOnlyAppearsOnRequest) {
   Spec.Workload = "vpr";
   Spec.Iterations = 100;
   Specs.push_back(Spec);
-  const std::vector<RunResult> Results = makeLocal()->run(Specs);
+  const std::vector<RunResult> Results = runMatrix(Specs);
 
   TimingInfo Timing;
   Timing.IncludeWall = true;

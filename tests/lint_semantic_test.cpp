@@ -305,8 +305,9 @@ int pick(Kind K) {
 // W1: schema lock
 //===----------------------------------------------------------------------===//
 
-/// A miniature schema surface: a wire constant, a locked enum, and one
-/// metrics visitor, as the tree-side "current" state.
+/// A miniature schema surface: a locked enum and one metrics visitor, as
+/// the tree-side "current" state.  The constant is not schema: W1 locks
+/// only enums and metric lists.
 const char *SchemaSource = R"(
 // hds-schema-enum
 enum class FrameType : unsigned char {
@@ -323,7 +324,7 @@ template <typename V> void visitPoolMetrics(V &&Visit) {
 
 std::vector<LexedFile> schemaFiles(const std::string &Text = SchemaSource) {
   std::vector<LexedFile> Files;
-  Files.push_back(lexSource("src/engine/MiniWire.h", Text));
+  Files.push_back(lexSource("src/engine/MiniSchema.h", Text));
   return Files;
 }
 
@@ -346,19 +347,18 @@ TEST(LintW1, RoundTripIsClean) {
 
 TEST(LintW1, CollectFindsAllSections) {
   auto Sections = collectSchema(schemaFiles());
-  ASSERT_EQ(Sections.size(), 3u);
-  // Sorted by (kind, name): const wire, enum FrameType, metrics visitPool.
-  EXPECT_EQ(Sections[0].Kind, "const");
-  EXPECT_EQ(Sections[0].Entries.front().Name, "ProtocolVersion");
-  EXPECT_EQ(Sections[0].Entries.front().Value, 3);
-  EXPECT_EQ(Sections[1].Name, "FrameType");
+  ASSERT_EQ(Sections.size(), 2u);
+  // Sorted by (kind, name): enum FrameType, metrics visitPool.
+  EXPECT_EQ(Sections[0].Kind, "enum");
+  EXPECT_EQ(Sections[0].Name, "FrameType");
+  ASSERT_EQ(Sections[0].Entries.size(), 2u);
+  EXPECT_EQ(Sections[0].Entries[1].Name, "Assign");
+  EXPECT_EQ(Sections[0].Entries[1].Value, 2);
+  EXPECT_EQ(Sections[1].Kind, "metrics");
+  EXPECT_EQ(Sections[1].Name, "visitPoolMetrics");
   ASSERT_EQ(Sections[1].Entries.size(), 2u);
-  EXPECT_EQ(Sections[1].Entries[1].Name, "Assign");
-  EXPECT_EQ(Sections[1].Entries[1].Value, 2);
-  EXPECT_EQ(Sections[2].Name, "visitPoolMetrics");
-  ASSERT_EQ(Sections[2].Entries.size(), 2u);
-  EXPECT_EQ(Sections[2].Entries[0].Name, "hits");
-  EXPECT_EQ(Sections[2].Entries[1].Value, 1);
+  EXPECT_EQ(Sections[1].Entries[0].Name, "hits");
+  EXPECT_EQ(Sections[1].Entries[1].Value, 1);
 }
 
 TEST(LintW1, ReorderedTagFails) {
@@ -397,29 +397,6 @@ TEST(LintW1, RenumberedFrameTypeFails) {
   auto Fs = runLint(schemaFiles(Renumbered), schemaOpts(Lock));
   ASSERT_GE(countRule(Fs, "W1"), 1) << dump(Fs);
   EXPECT_NE(dump(Fs).find("renumbered"), std::string::npos) << dump(Fs);
-}
-
-TEST(LintW1, ProtocolVersionBumpIsStaleNotFrozen) {
-  // Bumping the wire version forward is the sanctioned mutation (skew is
-  // rejected at the frame header); the lock merely goes stale.  Moving
-  // it backwards is still a renumber finding.
-  auto Files = schemaFiles();
-  std::string Lock = renderSchemaLock(collectSchema(Files));
-  std::string Bumped = SchemaSource;
-  size_t V = Bumped.find("ProtocolVersion = 3");
-  ASSERT_NE(V, std::string::npos);
-  Bumped.replace(V, std::string("ProtocolVersion = 3").size(),
-                 "ProtocolVersion = 4");
-  auto Fs = runLint(schemaFiles(Bumped), schemaOpts(Lock));
-  ASSERT_EQ(countRule(Fs, "W1"), 1) << dump(Fs);
-  EXPECT_NE(dump(Fs).find("stale"), std::string::npos) << dump(Fs);
-
-  std::string Reverted = SchemaSource;
-  Reverted.replace(V, std::string("ProtocolVersion = 3").size(),
-                   "ProtocolVersion = 2");
-  auto Back = runLint(schemaFiles(Reverted), schemaOpts(Lock));
-  ASSERT_GE(countRule(Back, "W1"), 1) << dump(Back);
-  EXPECT_NE(dump(Back).find("renumbered"), std::string::npos) << dump(Back);
 }
 
 TEST(LintW1, LegalAppendReportsStaleLock) {

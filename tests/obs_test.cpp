@@ -5,15 +5,15 @@
 // Tests for the typed observability layer (src/obs) and the engine's
 // metric registry built on top of it: the cycle account's clock/phase
 // coupling, the phase timeline invariants, stable-id uniqueness, and the
-// registry <-> wire <-> JSON agreement that makes the metric ids the one
-// source of truth for every serializer.
+// registry <-> JSON agreement that makes the metric ids the one source of
+// truth for the results document and its reader.
 //
 //===----------------------------------------------------------------------===//
 
 #include "engine/ExperimentRunner.h"
 #include "engine/MetricRegistry.h"
+#include "engine/ResultsDiff.h"
 #include "engine/ResultsJson.h"
-#include "engine/Wire.h"
 #include "obs/CycleAccount.h"
 #include "obs/Metrics.h"
 #include "obs/PrefetchStats.h"
@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <string>
 #include <type_traits>
@@ -217,7 +218,7 @@ TEST(MetricRegistryTest, IdentityFieldsMatchTheSpecEcho) {
 }
 
 //===----------------------------------------------------------------------===//
-// Registry <-> wire <-> JSON agreement
+// Registry <-> JSON agreement
 //===----------------------------------------------------------------------===//
 
 /// An Ok result with every registered counter set to a distinct value.
@@ -272,19 +273,68 @@ TEST(MetricRegistryTest, EveryRegisteredIdAppearsInTheJson) {
     }
 }
 
-TEST(MetricRegistryTest, WireRoundTripPreservesEveryRegisteredMetric) {
+TEST(MetricRegistryTest, JsonRoundTripPreservesEveryRegisteredMetric) {
   const RunResult Original = denseResult();
-  uint64_t Index = 0;
-  RunResult Decoded;
+  // The value denseResult gave each metric, keyed by its path in the
+  // result object.
+  std::map<std::string, std::string> Expected;
+  auto Under = [&Expected](std::string Prefix) {
+    return [&Expected, Prefix](const obs::MetricDef &Def, const auto &Field) {
+      Expected[Prefix + Def.Id] = std::to_string(static_cast<uint64_t>(Field));
+    };
+  };
+  core::visitRunStatsMetrics(Original.Stats, Under(""));
+  core::visitCycleStatsMetrics(Original.Stats.Cycles[0], Under("phases[0]."));
+  memsim::visitHierarchyStatsMetrics(Original.Memory, Under("memory."));
+  memsim::visitCacheStatsMetrics(Original.L1, Under("l1."));
+  memsim::visitCacheStatsMetrics(Original.L2, Under("l2."));
+  obs::visitCycleBreakdownMetrics(Original.Breakdown,
+                                  Under("cycle_breakdown."));
+  obs::visitStreamPrefetchStatsMetrics(Original.Streams[0],
+                                       Under("streams[0]."));
+  obs::visitPrefetcherStatsMetrics(Original.Prefetchers[0],
+                                   Under("prefetchers[0]."));
+  visitResultTimingMetrics(Original.Timing, Under("timing."));
+
+  // Serialize (timing enabled so the wall-clock gauges are covered too)
+  // and read the document back through the --diff parser.
+  std::vector<ResultCell> Cells;
   std::string Error;
-  ASSERT_TRUE(wire::decodeResult(wire::encodeResult(21, Original), Index,
-                                 Decoded, Error))
+  ASSERT_TRUE(readResultCells(
+      resultsToJson(std::vector<RunResult>{Original}, perResultTiming()),
+      Cells, Error))
       << Error;
-  // Byte-identical JSON == every registered field survived the trip
-  // (timing enabled so the wall-clock gauges are covered too).
-  EXPECT_EQ(
-      resultsToJson(std::vector<RunResult>{Decoded}, perResultTiming()),
-      resultsToJson(std::vector<RunResult>{Original}, perResultTiming()));
+  ASSERT_EQ(Cells.size(), 1u);
+  EXPECT_EQ(Cells[0].Status, "ok");
+  const std::map<std::string, std::string> Parsed(Cells[0].Metrics.begin(),
+                                                  Cells[0].Metrics.end());
+
+  // Where each registry block lands in a result object.
+  const std::map<std::string, std::vector<std::string>> Locations = {
+      {"result", {""}},
+      {"phase", {"phases[0]."}},
+      {"memory", {"memory."}},
+      {"cache", {"l1.", "l2."}},
+      {"cycle_breakdown", {"cycle_breakdown."}},
+      {"stream", {"streams[0]."}},
+      {"prefetcher", {"prefetchers[0]."}},
+      {"timing", {"timing."}},
+  };
+  std::size_t Checked = 0;
+  for (const MetricBlock &Block : metricRegistry()) {
+    const auto Where = Locations.find(Block.Name);
+    ASSERT_NE(Where, Locations.end())
+        << "block " << Block.Name << " has no location in this test";
+    for (const std::string &Prefix : Where->second)
+      for (const obs::MetricDef &Def : Block.Metrics) {
+        const std::string Path = Prefix + Def.Id;
+        const auto Got = Parsed.find(Path);
+        ASSERT_NE(Got, Parsed.end()) << Path << " lost in the round trip";
+        EXPECT_EQ(Got->second, Expected.at(Path)) << Path;
+        ++Checked;
+      }
+  }
+  EXPECT_EQ(Checked, Expected.size());
 }
 
 } // namespace

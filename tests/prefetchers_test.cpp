@@ -508,6 +508,50 @@ TEST(PairTableConfigTest, RejectsKnobsTheLayoutCannotHold) {
   }));
 }
 
+/// Builds a stack with \p K enabled and one knob zeroed by \p Edit, and
+/// expects the constructor to refuse it with an error naming \p Knob:
+/// a zero-sized table would reach Prefetcher::tableIndex(Key, 0) — a
+/// division by zero — on the first access.
+void expectZeroTableRejected(Prefetcher::Kind K, void (*Edit)(StackConfig &),
+                             const char *Knob) {
+  StackConfig Cfg;
+  Cfg.Enabled.set(K, true);
+  Edit(Cfg);
+  try {
+    PrefetcherStack Stack(Cfg);
+    ADD_FAILURE() << Knob << " = 0 was accepted";
+  } catch (const std::invalid_argument &E) {
+    EXPECT_NE(std::string(E.what()).find(Knob), std::string::npos)
+        << E.what();
+  }
+}
+
+TEST(TableConfigTest, ZeroStrideTableIsRejected) {
+  StridePrefetcherConfig Cfg;
+  Cfg.TableEntries = 0;
+  EXPECT_THROW({ StridePrefetcher P(Cfg, /*AssignedTag=*/0); },
+               std::invalid_argument);
+  expectZeroTableRejected(
+      Prefetcher::Stride,
+      [](StackConfig &C) { C.StrideCfg.TableEntries = 0; }, "TableEntries");
+}
+
+TEST(TableConfigTest, ZeroStreamTableIsRejected) {
+  StreamPrefetcherConfig Cfg;
+  Cfg.TableEntries = 0;
+  EXPECT_THROW({ StreamPrefetcher P(Cfg, /*AssignedTag=*/0); },
+               std::invalid_argument);
+  expectZeroTableRejected(
+      Prefetcher::Stream,
+      [](StackConfig &C) { C.StreamCfg.TableEntries = 0; }, "TableEntries");
+}
+
+TEST(TableConfigTest, ZeroDuelRegionBucketsIsRejected) {
+  expectZeroTableRejected(
+      Prefetcher::Duel,
+      [](StackConfig &C) { C.DuelCfg.RegionBuckets = 0; }, "RegionBuckets");
+}
+
 TEST(PairTableConfigTest, WidestSetRanksEveryWay) {
   // MaxWays confident successors of A fill A's whole set (the reverse
   // pairs are keyed elsewhere): a degree-MaxWays prediction issues all

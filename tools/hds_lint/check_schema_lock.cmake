@@ -1,6 +1,6 @@
 # Regenerates the schema lock from the tree and byte-compares it with the
 # committed tests/golden/schema.lock.  A mismatch means the tree changed
-# the wire/metric schema without regenerating the lock in the same commit.
+# the results schema without regenerating the lock in the same commit.
 #
 # Inputs: HDS_LINT, SOURCE_DIR, WORK_DIR.
 

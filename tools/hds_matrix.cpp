@@ -2,18 +2,11 @@
 //
 // Part of the hds project (PLDI 2002 hot data stream prefetching repro).
 //
-// Runs the (workload × RunMode × seed × scale) experiment matrix through
-// the engine's Executor API (src/engine/ExecutorFactory.h) and emits
-// machine-readable results.  The merged output is byte-identical for any
-// execution strategy — local threads (--jobs) or the fleet service
-// (--serve/--workers) — so trajectory files can be diffed across
-// machines, thread counts, and transports (see docs/engine.md for the
-// determinism contract and the JSON schema).
-//
-// The distributed flags here are thin wrappers over the fleet service;
-// `hds_fleet` is the full-featured front end (status, resume,
-// summarize — docs/fleet.md).  Both parse the same cli::FleetOptions
-// fragment, so the vocabularies cannot drift.
+// Runs the (workload × RunMode × seed × scale) experiment matrix across a
+// local thread pool (engine::runMatrix) and emits machine-readable
+// results.  The merged output is byte-identical for any --jobs value, so
+// trajectory files can be diffed across machines and thread counts (see
+// docs/engine.md for the determinism contract and the JSON schema).
 //
 // Usage:
 //   hds_matrix [options]
@@ -30,12 +23,6 @@
 //     --list                print the selected specs and exit
 //     --quiet               suppress the progress lines on stderr
 //
-//   Fleet execution (cli/Options.h fleet fragment; see docs/fleet.md):
-//     --serve ADDR, --workers N, --job-timeout MS, --idle-timeout MS,
-//     --token SECRET, --allow-remote, --heartbeat-interval MS,
-//     --heartbeat-misses N, --checkpoint FILE on the serve side;
-//     --worker ADDR plus the worker-side subset to join a fleet.
-//
 //   Result comparison:
 //     --diff A.json B.json  compare two results files cell-by-cell;
 //                           exits 1 when B regressed against A
@@ -48,13 +35,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "cli/Options.h"
-#include "engine/ExecutorFactory.h"
 #include "engine/ExperimentRunner.h"
 #include "engine/ExperimentSpec.h"
 #include "engine/ResultsDiff.h"
 #include "engine/ResultsJson.h"
-#include "fleet/FleetCli.h"
-#include "fleet/Worker.h"
 #include "support/Table.h"
 
 #include <chrono>
@@ -62,11 +46,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
-#include <unistd.h>
 #include <vector>
 
 using namespace hds;
@@ -84,9 +66,6 @@ struct Options {
   bool List = false;
   bool Quiet = false;
 
-  /// Distributed modes: the shared fleet vocabulary.
-  cli::FleetOptions Fleet;
-
   // Diff mode.
   std::string DiffA, DiffB;
   double ThresholdPct = 0.0;
@@ -98,15 +77,11 @@ struct Options {
       stderr,
       "usage: %s [--jobs N] [--scale F] [--seeds N] [--filter key=value]...\n"
       "          [--out FILE] [--timing] [--lint-timing FILE] [--list]\n"
-      "          [--quiet]%s\n"
-      "       %s%s\n"
+      "          [--quiet]\n"
       "       %s --diff A.json B.json [--threshold PCT] "
       "[--wall-threshold PCT]\n"
-      "%s"
-      "addresses: host:port (port 0 = ephemeral) or unix:/path\n",
-      Binary, cli::fleetServeOptionsUsage().c_str(), Binary,
-      cli::fleetWorkerOptionsUsage().c_str(), Binary,
-      engine::filterHelp().c_str());
+      "%s",
+      Binary, Binary, engine::filterHelp().c_str());
   std::exit(2);
 }
 
@@ -126,19 +101,7 @@ Options parseOptions(int Argc, char **Argv) {
       .strPair("--diff", Opts.DiffA, Opts.DiffB)
       .nonNegativeDouble("--threshold", Opts.ThresholdPct)
       .nonNegativeDouble("--wall-threshold", Opts.WallThresholdPct);
-  // Both fleet sides: this tool can coordinate or join.  Rows present on
-  // both sides register twice; the parser takes the first match and both
-  // write the same field, so the duplicate is harmless.
-  cli::addFleetServeOptions(Set, Opts.Fleet);
-  cli::addFleetWorkerOptions(Set, Opts.Fleet);
   Set.parse(Argc, Argv);
-  if (!Opts.Fleet.WorkerAddr.empty() &&
-      (!Opts.Fleet.ServeAddr.empty() || Opts.Fleet.Workers != 0 ||
-       !Opts.DiffA.empty())) {
-    std::fprintf(stderr,
-                 "error: --worker excludes --serve/--workers/--diff\n");
-    std::exit(2);
-  }
   return Opts;
 }
 
@@ -204,19 +167,6 @@ int runDiffMode(const Options &Opts) {
   return Report.regressed() ? 1 : 0;
 }
 
-int runWorkerMode(const Options &Opts) {
-  std::string Error;
-  const fleet::WorkerExit Exit = fleet::runWorker(
-      Opts.Fleet.WorkerAddr, fleet::workerOptionsFromCli(Opts.Fleet), &Error);
-  if (Exit == fleet::WorkerExit::CleanShutdown) {
-    if (!Opts.Quiet)
-      std::fprintf(stderr, "worker: clean shutdown\n");
-    return 0;
-  }
-  std::fprintf(stderr, "worker: %s\n", Error.c_str());
-  return 1;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -224,8 +174,6 @@ int main(int Argc, char **Argv) {
 
   if (!Opts.DiffA.empty())
     return runDiffMode(Opts);
-  if (!Opts.Fleet.WorkerAddr.empty())
-    return runWorkerMode(Opts);
 
   std::vector<engine::ExperimentSpec> Specs =
       engine::defaultMatrix(Opts.Scale);
@@ -272,41 +220,12 @@ int main(int Argc, char **Argv) {
     Timing.LintJson = Text;
   }
 
-  const bool Distributed =
-      !Opts.Fleet.ServeAddr.empty() || Opts.Fleet.Workers != 0;
   unsigned Jobs = Opts.Jobs != 0 ? Opts.Jobs
                                  : std::thread::hardware_concurrency();
   if (Jobs == 0)
     Jobs = 1;
 
-  // Pick the executor: same API, different transport.
-  std::unique_ptr<engine::Executor> Exec;
-  if (Distributed) {
-    engine::FleetConfig Config = fleet::fleetConfigFromCli(Opts.Fleet);
-    if (Opts.Fleet.ServeAddr.empty())
-      // Workers-only mode: a private Unix socket nobody races on.
-      Config.ListenAddr =
-          "unix:/tmp/hds-matrix-" + std::to_string(getpid()) + ".sock";
-    std::string Bound, Error;
-    std::unique_ptr<engine::Executor> Remote =
-        engine::makeFleet(Config, &Bound, &Error);
-    if (!Remote) {
-      std::fprintf(stderr, "error: cannot listen on '%s': %s\n",
-                   Config.ListenAddr.c_str(), Error.c_str());
-      return 2;
-    }
-    if (!Opts.Quiet)
-      std::fprintf(stderr, "serving %zu experiments on %s (%u local "
-                           "worker(s))\n",
-                   Specs.size(), Bound.c_str(), Opts.Fleet.Workers);
-    Exec = std::move(Remote);
-  } else {
-    engine::FleetConfig Config;
-    Config.Jobs = Jobs;
-    Exec = engine::makeLocal(Config);
-  }
-
-  std::function<void(std::size_t, const engine::RunResult &)> OnResult;
+  engine::ResultCallback OnResult;
   const size_t Total = Specs.size();
   if (!Opts.Quiet)
     // Mutable counter; deliveries are serialized under the sink lock.
@@ -322,7 +241,7 @@ int main(int Argc, char **Argv) {
 
   const auto Start = std::chrono::steady_clock::now();
   const std::vector<engine::RunResult> Results =
-      Exec->run(Specs, std::move(OnResult));
+      engine::runMatrix(Specs, Jobs, std::move(OnResult));
   const auto End = std::chrono::steady_clock::now();
 
   if (Opts.Timing) {
@@ -330,7 +249,7 @@ int main(int Argc, char **Argv) {
     Timing.WallMillis = static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::milliseconds>(End - Start)
             .count());
-    Timing.Jobs = Distributed ? Opts.Fleet.Workers : Jobs;
+    Timing.Jobs = Jobs;
   }
 
   // With --out - the JSON owns stdout; keep the human table off it.
