@@ -1,12 +1,13 @@
 #!/bin/sh
-# Builds everything, runs the test suite, and regenerates the full
-# experiment matrix through the parallel engine, capturing outputs like
-# the final artifacts in the repository root.
+# Builds everything, runs the test suite and the lint pass, and runs the
+# full experiment matrix (with two layout-seed variants per cell) through
+# the parallel engine.
 #
-# The per-figure bench binaries still exist (bench/) for focused runs;
-# the canonical trajectory artifact is now one sharded hds_matrix
-# invocation whose merged JSON is byte-identical for any --jobs value
-# (see docs/engine.md).
+# The matrix document goes to build/matrix.json; its merged results are
+# byte-identical for any --jobs value (see docs/engine.md).  It does not
+# replace the committed numbers of record: BENCH_matrix.json is the
+# hds_bench document described in docs/benchmarks.md, regenerated only
+# with the command given there.
 #
 # Usage: scripts/run_all.sh [bench-scale]   (default 1.0)
 set -e
@@ -19,8 +20,6 @@ cmake --build build -j"$JOBS"
 
 ctest --test-dir build --output-on-failure -j"$JOBS" 2>&1 | tee test_output.txt
 
-# Lint pass, timed: scripts/lint.sh leaves build/lint_timing.json behind
-# for the matrix run to embed.
 scripts/lint.sh --lint-only
 
 ./build/tools/hds_matrix \
@@ -28,7 +27,6 @@ scripts/lint.sh --lint-only
   --scale "$SCALE" \
   --seeds 2 \
   --timing \
-  --lint-timing build/lint_timing.json \
-  --out BENCH_matrix.json 2>&1 | tee bench_output.txt
+  --out build/matrix.json 2>&1 | tee bench_output.txt
 
-echo "matrix results: BENCH_matrix.json"
+echo "matrix results: build/matrix.json"

@@ -49,10 +49,10 @@ public:
 
 private:
   mutable std::mutex Mutex;
-  std::vector<RunResult> Results;  // hds-guarded-by(Mutex)
-  std::vector<bool> Filled;        // hds-guarded-by(Mutex)
-  std::size_t Completed = 0;       // hds-guarded-by(Mutex)
-  ResultCallback Callback;         // hds-guarded-by(Mutex)
+  std::vector<RunResult> Results;  // guarded by Mutex
+  std::vector<bool> Filled;        // guarded by Mutex
+  std::size_t Completed = 0;       // guarded by Mutex
+  ResultCallback Callback;         // guarded by Mutex
 };
 
 } // namespace engine

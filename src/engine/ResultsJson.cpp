@@ -93,12 +93,6 @@ public:
     field(Key, Value ? "true" : "false");
   }
 
-  /// Embeds \p Raw verbatim as the value of \p Key (caller guarantees it
-  /// is well-formed JSON).
-  void fieldRaw(const char *Key, const std::string &Raw) {
-    field(Key, Raw);
-  }
-
 private:
   void open(const char *Key, char Bracket) {
     comma();
@@ -285,14 +279,10 @@ std::string hds::engine::resultsToJson(const std::vector<RunResult> &Results,
                Timing.IncludePerResult);
   Json.close(']');
 
-  if (Timing.IncludeWall || !Timing.LintJson.empty()) {
+  if (Timing.IncludeWall) {
     Json.openObject("timing");
-    if (Timing.IncludeWall) {
-      Json.field("wall_ms", Timing.WallMillis);
-      Json.field("jobs", uint64_t{Timing.Jobs});
-    }
-    if (!Timing.LintJson.empty())
-      Json.fieldRaw("lint", Timing.LintJson);
+    Json.field("wall_ms", Timing.WallMillis);
+    Json.field("jobs", uint64_t{Timing.Jobs});
     Json.close('}');
   }
 

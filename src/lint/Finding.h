@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The Finding record shared by every lint module.  It lives in its own
-/// header so rule families (Rules, LockDiscipline, SchemaLock) can report
+/// header so rule families (Rules, SchemaLock) can report
 /// findings without including each other.
 ///
 //===----------------------------------------------------------------------===//
@@ -21,7 +21,7 @@ namespace lint {
 
 /// One reported violation.
 struct Finding {
-  std::string RuleId;  ///< "D1" ... "C1", "T1", "W1", "E1", "SUP", "STALE"
+  std::string RuleId;  ///< "D1" ... "C1", "W1", "E1", "SUP", "STALE"
   std::string Path;    ///< display path of the offending file
   unsigned Line = 0;
   std::string Message;

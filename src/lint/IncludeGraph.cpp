@@ -22,16 +22,16 @@ bool endsWith(std::string_view S, std::string_view Suffix) {
          S.compare(S.size() - Suffix.size(), Suffix.size(), Suffix) == 0;
 }
 
-std::vector<std::string> includesDelimited(const LexedFile &File, char Open,
-                                           char Close) {
+/// Include paths of \p File written with quotes ("engine/ResultsJson.h").
+std::vector<std::string> quotedIncludes(const LexedFile &File) {
   std::vector<std::string> Out;
   for (const Directive &D : File.Directives) {
     if (!startsWith(D.Text, "include"))
       continue;
-    size_t B = D.Text.find(Open);
+    size_t B = D.Text.find('"');
     if (B == std::string::npos)
       continue;
-    size_t E = D.Text.find(Close, B + 1);
+    size_t E = D.Text.find('"', B + 1);
     if (E != std::string::npos)
       Out.push_back(D.Text.substr(B + 1, E - B - 1));
   }
@@ -39,14 +39,6 @@ std::vector<std::string> includesDelimited(const LexedFile &File, char Open,
 }
 
 } // namespace
-
-std::vector<std::string> quotedIncludes(const LexedFile &File) {
-  return includesDelimited(File, '"', '"');
-}
-
-std::vector<std::string> angleIncludes(const LexedFile &File) {
-  return includesDelimited(File, '<', '>');
-}
 
 IncludeGraph buildIncludeGraph(const std::vector<LexedFile> &Files) {
   std::map<std::string, std::vector<std::string>> Direct;

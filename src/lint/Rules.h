@@ -15,7 +15,6 @@
 ///   H1  header hygiene: canonical include guards, self-contained includes
 ///   C1  cycle accounting must route through the MemoryHierarchy API
 ///   D5  cycle/heat accounting must stay in integer arithmetic
-///   T1  hds-guarded-by fields mutate only under their mutex
 ///   W1  the results schema matches the committed schema.lock
 ///   E1  switches over hds-exhaustive enums cover every enumerator
 ///   SUP malformed hds-lint suppression comments
@@ -33,10 +32,8 @@
 
 #include "lint/Finding.h"
 #include "lint/Lexer.h"
-#include "lint/ProjectModel.h"
 
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace hds {
@@ -59,28 +56,13 @@ struct LintOptions {
   const std::string *SchemaLockText = nullptr;
   /// Display path of the lock, for finding attribution and fix hints.
   std::string SchemaLockPath = "tests/golden/schema.lock";
-  /// Generated H1 symbol→header table (see ProjectModel).  When null,
-  /// H1 falls back to the curated table alone.
-  const std::vector<HeaderReq> *HeaderTable = nullptr;
   /// Report suppressions that no longer suppress anything (STALE).
   bool ReportStale = false;
 };
 
-/// The symbol keys H1 checks, as (symbol, needsStd) pairs — the union the
-/// compile-db generator should resolve.  Includes the generated-only
-/// symbols (optional, variant, expected) that have no curated fallback.
-std::vector<std::pair<std::string, bool>> h1SymbolKeys();
-
-/// The curated fallback table used when no compile database is available.
-const std::vector<HeaderReq> &fallbackHeaderTable();
-
-/// Merges \p Generated with the curated fallback: generated entries win,
-/// fallback fills symbols the generator could not resolve.
-std::vector<HeaderReq> mergeHeaderTable(std::vector<HeaderReq> Generated);
-
 /// Runs every (selected) rule over \p Files and returns the unsuppressed
 /// findings, sorted by path, line, and rule id.  Cross-file context (the
-/// D2 unordered-container index, the T1 lock registry, the W1 schema
+/// D2 unordered-container index, the E1 marked enums, the W1 schema
 /// snapshot) is built from exactly the files passed in, so callers should
 /// lint a whole tree at once.
 std::vector<Finding> runLint(const std::vector<LexedFile> &Files,

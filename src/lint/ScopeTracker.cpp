@@ -241,9 +241,7 @@ std::vector<FunctionBody> findFunctionBodies(const Toks &T,
           Best = CS.Close - CS.Open;
         }
     }
-    bool IsCtorDtor = IsDtor || (!ClassName.empty() && Name == ClassName);
-    Bodies.push_back(
-        {Name, ClassName, NameTok, J, BodyClose, IsCtorDtor, T[NameTok].Line});
+    Bodies.push_back({Name, ClassName, NameTok, J, BodyClose, T[NameTok].Line});
     I = J; // resume after the header; nested lambdas are part of this body
   }
   return Bodies;

@@ -6,12 +6,11 @@
 ///
 /// \file
 /// Token-level structure discovery for one translation unit: class body
-/// spans, function bodies (with owning class and ctor/dtor detection),
-/// and enum definitions with their enumerator values and lint markers.
-/// This is deliberately a recognizer, not a parser — it finds the shapes
-/// the semantic rules (T1 lock discipline, E1 exhaustive dispatch, W1
-/// schema lock) need and ignores everything else.  Unrecognized constructs
-/// degrade to "not tracked", never to a crash.
+/// spans, function bodies (with owning class), and enum definitions with
+/// their enumerator values and lint markers.  This is deliberately a
+/// recognizer, not a parser — it finds the shapes the semantic rules (E1
+/// exhaustive dispatch, W1 schema lock) need and ignores everything else.
+/// Unrecognized constructs degrade to "not tracked", never to a crash.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,7 +42,6 @@ struct FunctionBody {
   size_t NameTok = 0;    ///< token index of the name
   size_t Open = 0;       ///< token index of the body '{'
   size_t Close = 0;      ///< token index of the matching '}'
-  bool IsCtorDtor = false;
   unsigned Line = 0; ///< line of the name token
 };
 
@@ -69,8 +67,7 @@ std::vector<ClassSpan> findClassSpans(const std::vector<Token> &T);
 
 /// Finds function definitions (declarations with a `{...}` body) in \p T.
 /// The owning class comes from an explicit `Class::name` qualifier or the
-/// innermost enclosing span in \p Classes.  Constructor/destructor bodies
-/// are flagged so callers can exempt them from concurrency checks.
+/// innermost enclosing span in \p Classes.
 std::vector<FunctionBody> findFunctionBodies(const std::vector<Token> &T,
                                              const std::vector<ClassSpan> &Classes);
 

@@ -23,6 +23,8 @@ DuelingSelector::DuelingSelector(
   if (Config.RegionBuckets == 0)
     throw std::invalid_argument(
         "DuelConfig: RegionBuckets must be at least 1");
+  if (Config.RegionShift >= 64)
+    throw std::invalid_argument("DuelConfig: RegionShift must be below 64");
   const size_t Cells =
       static_cast<size_t>(Config.RegionBuckets) * Candidates.size();
   UsefulCount.assign(Cells, 0);

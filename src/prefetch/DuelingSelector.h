@@ -51,7 +51,7 @@ struct PrefetcherStats;
 namespace prefetch {
 
 /// Knobs for the dueling selector.  The constructor rejects (with
-/// std::invalid_argument) RegionBuckets = 0.
+/// std::invalid_argument) RegionBuckets = 0 and RegionShift >= 64.
 struct DuelConfig {
   /// log2 of the dueling region size in bytes (4 KiB default).
   uint32_t RegionShift = 12;

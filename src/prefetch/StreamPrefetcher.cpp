@@ -17,6 +17,9 @@ StreamPrefetcher::StreamPrefetcher(const StreamPrefetcherConfig &Cfg,
   if (Cfg.TableEntries == 0)
     throw std::invalid_argument(
         "StreamPrefetcherConfig: TableEntries must be at least 1");
+  if (Cfg.RegionShift >= 64)
+    throw std::invalid_argument(
+        "StreamPrefetcherConfig: RegionShift must be below 64");
   Table.resize(Cfg.TableEntries);
 }
 

@@ -35,7 +35,7 @@ namespace hds {
 namespace prefetch {
 
 /// Knobs for the stream prefetcher.  The constructor rejects (with
-/// std::invalid_argument) TableEntries = 0.
+/// std::invalid_argument) TableEntries = 0 and RegionShift >= 64.
 struct StreamPrefetcherConfig {
   /// Detector entries (direct mapped by region number).
   uint32_t TableEntries = 64;

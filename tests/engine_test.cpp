@@ -387,12 +387,10 @@ TEST(ResultsJson, TimingObjectOnlyAppearsOnRequest) {
   Timing.IncludeWall = true;
   Timing.WallMillis = 1234;
   Timing.Jobs = 8;
-  Timing.LintJson = "{\"total_ms\": 7}";
   const std::string Json = resultsToJson(Results, Timing);
   EXPECT_NE(Json.find("\"timing\""), std::string::npos);
   EXPECT_NE(Json.find("\"wall_ms\": 1234"), std::string::npos);
   EXPECT_NE(Json.find("\"jobs\": 8"), std::string::npos);
-  EXPECT_NE(Json.find("\"total_ms\": 7"), std::string::npos);
 }
 
 TEST(ResultsJson, EscapesControlAndQuoteCharacters) {

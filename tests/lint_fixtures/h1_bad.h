@@ -8,6 +8,7 @@ struct Holder {
   std::array<int, 4> Quad;   // H1: <array> not included
   std::span<const int> View; // H1: <span> not included
   uint64_t Total = 0;        // H1: <cstdint> not included
+  std::optional<int> Limit;  // H1: <optional> not included
 };
 
 #endif

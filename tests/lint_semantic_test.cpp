@@ -2,29 +2,25 @@
 //
 // Part of the hds project (PLDI 2002 hot data stream prefetching repro).
 //
-// Tests for the semantic (cross-TU) half of hds_lint: T1 lock discipline,
-// W1 schema lock, E1 exhaustive dispatch, STALE suppression auditing, and
-// the compile-db project model that generates H1's symbol→header table.
+// Tests for the semantic (cross-TU) half of hds_lint: W1 schema lock, E1
+// exhaustive dispatch, and STALE suppression auditing.
 // Sources are supplied inline or from tests/lint_fixtures/ with virtual
 // display paths, so path-scoped behavior matches the real tree.
 //
 //===----------------------------------------------------------------------===//
 
 #include "lint/Lexer.h"
-#include "lint/ProjectModel.h"
 #include "lint/Rules.h"
 #include "lint/SchemaLock.h"
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 using namespace hds::lint;
-namespace fs = std::filesystem;
 
 namespace {
 
@@ -59,138 +55,6 @@ std::vector<Finding> lintSources(
   for (const auto &[Path, Text] : Sources)
     Files.push_back(lexSource(Path, Text));
   return runLint(Files, Opts);
-}
-
-//===----------------------------------------------------------------------===//
-// T1: lock discipline
-//===----------------------------------------------------------------------===//
-
-TEST(LintT1, PositiveFixtureFires) {
-  auto Fs = lintSources(
-      {{"src/engine/t1_positive.cpp", readFixture("t1_positive.cpp")}});
-  EXPECT_EQ(countRule(Fs, "T1"), 4) << dump(Fs);
-  EXPECT_EQ(countRule(Fs, "SUP"), 0) << dump(Fs);
-}
-
-TEST(LintT1, SuppressedFixtureIsClean) {
-  auto Fs = lintSources(
-      {{"src/engine/t1_suppressed.cpp", readFixture("t1_suppressed.cpp")}});
-  EXPECT_EQ(countRule(Fs, "T1"), 0) << dump(Fs);
-  EXPECT_EQ(countRule(Fs, "SUP"), 0) << dump(Fs);
-}
-
-TEST(LintT1, AnnotationsCrossTranslationUnits) {
-  // The annotated class lives in a header; the unguarded mutation in a
-  // separate .cpp that never textually includes the annotation.
-  const char *Header = R"(
-struct Shared {
-  int Mutex;
-  int Hits = 0; // hds-guarded-by(Mutex)
-};
-)";
-  const char *User = R"(
-struct Shared;
-void bump(Shared &S);
-void caller(Shared &S) { S.Hits++; }
-)";
-  auto Fs = lintSources({{"src/engine/Shared.h", Header},
-                         {"src/engine/User.cpp", User}});
-  EXPECT_EQ(countRule(Fs, "T1"), 1) << dump(Fs);
-}
-
-TEST(LintT1, DeferLockIsNotHeld) {
-  const char *Src = R"(
-#include <mutex>
-struct Pool {
-  std::mutex Mutex;
-  int Count = 0; // hds-guarded-by(Mutex)
-};
-void deferred(Pool &P) {
-  std::unique_lock<std::mutex> Lock(P.Mutex, std::defer_lock);
-  P.Count = 1;
-}
-)";
-  auto Fs = lintSources({{"src/engine/defer.cpp", Src}});
-  EXPECT_EQ(countRule(Fs, "T1"), 1) << dump(Fs);
-}
-
-TEST(LintT1, UnlockInNestedBlockDoesNotLeak) {
-  // The unlock-then-return branch must not mark the fall-through path
-  // unlocked (the Coordinator dispatch-loop shape).
-  const char *Src = R"(
-#include <mutex>
-struct Pool {
-  std::mutex Mutex;
-  int Count = 0; // hds-guarded-by(Mutex)
-  bool Done = false; // hds-guarded-by(Mutex)
-};
-void dispatch(Pool &P) {
-  std::unique_lock<std::mutex> Lock(P.Mutex);
-  if (P.Done) {
-    Lock.unlock();
-    return;
-  }
-  P.Count = 1;
-}
-)";
-  auto Fs = lintSources({{"src/engine/nested.cpp", Src}});
-  EXPECT_EQ(countRule(Fs, "T1"), 0) << dump(Fs);
-}
-
-TEST(LintT1, RequiresFunctionBodyAndCallers) {
-  const char *Src = R"(
-#include <mutex>
-struct Pool {
-  std::mutex Mutex;
-  int Count = 0; // hds-guarded-by(Mutex)
-
-  // hds-requires(Mutex)
-  void bumpLocked() { ++Count; }
-
-  void lockedCaller() {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    bumpLocked();
-  }
-
-  void unlockedCaller() { bumpLocked(); }
-};
-)";
-  auto Fs = lintSources({{"src/engine/req.cpp", Src}});
-  // Exactly one finding: the unlocked call site.  The requires body and
-  // the locked caller are clean.
-  ASSERT_EQ(countRule(Fs, "T1"), 1) << dump(Fs);
-  for (const Finding &F : Fs)
-    if (F.RuleId == "T1") {
-      EXPECT_NE(F.Message.find("bumpLocked"), std::string::npos) << dump(Fs);
-    }
-}
-
-TEST(LintT1, ConstructorOfOwningClassIsExempt) {
-  const char *Src = R"(
-#include <mutex>
-struct Pool {
-  std::mutex Mutex;
-  int Count = 0; // hds-guarded-by(Mutex)
-  Pool() { Count = 7; }
-  ~Pool() { Count = 0; }
-};
-)";
-  auto Fs = lintSources({{"src/engine/ctor.cpp", Src}});
-  EXPECT_EQ(countRule(Fs, "T1"), 0) << dump(Fs);
-}
-
-TEST(LintT1, MalformedAnnotationIsReported) {
-  const char *Src = R"(
-struct Pool {
-  int Mutex;
-  // hds-guarded-by(Mutex)
-};
-void idle();
-// hds-guarded-by
-int looseField;
-)";
-  auto Fs = lintSources({{"src/engine/badnote.cpp", Src}});
-  EXPECT_GE(countRule(Fs, "SUP"), 2) << dump(Fs);
 }
 
 //===----------------------------------------------------------------------===//
@@ -462,145 +326,6 @@ void walk(const std::unordered_map<int, int> &Table) {
   auto Fs = lintSources({{"src/core/used.cpp", Src}}, Opts);
   EXPECT_EQ(countRule(Fs, "D2"), 0) << dump(Fs);
   EXPECT_EQ(countRule(Fs, "STALE"), 0) << dump(Fs);
-}
-
-//===----------------------------------------------------------------------===//
-// Project model: compile DB parsing and header-table generation
-//===----------------------------------------------------------------------===//
-
-TEST(LintProjectModel, ParsesCommandAndArgumentsForms) {
-  const char *Json = R"([
-  {
-    "directory": "/work/build",
-    "command": "/usr/bin/g++ -I/abs/inc -Irel/inc -isystem /sys/inc -c a.cpp",
-    "file": "a.cpp"
-  },
-  {
-    "directory": "/work/build",
-    "arguments": ["clang++", "-I", "other", "-c", "b.cpp"],
-    "file": "b.cpp"
-  }
-])";
-  std::vector<CompileCommand> Cmds;
-  std::string Error;
-  ASSERT_TRUE(parseCompileDb(Json, "compile_commands.json", Cmds, Error))
-      << Error;
-  ASSERT_EQ(Cmds.size(), 2u);
-  EXPECT_EQ(Cmds[0].Compiler, "/usr/bin/g++");
-  ASSERT_EQ(Cmds[0].IncludeDirs.size(), 3u);
-  EXPECT_EQ(Cmds[0].IncludeDirs[0], "/abs/inc");
-  EXPECT_EQ(Cmds[0].IncludeDirs[1], "/work/build/rel/inc");
-  EXPECT_EQ(Cmds[0].IncludeDirs[2], "/sys/inc");
-  EXPECT_EQ(Cmds[1].Compiler, "clang++");
-  ASSERT_EQ(Cmds[1].IncludeDirs.size(), 1u);
-  EXPECT_EQ(Cmds[1].IncludeDirs[0], "/work/build/other");
-}
-
-TEST(LintProjectModel, RejectsMalformedJson) {
-  std::vector<CompileCommand> Cmds;
-  std::string Error;
-  EXPECT_FALSE(parseCompileDb("{\"not\": \"an array\"}",
-                              "compile_commands.json", Cmds, Error));
-  EXPECT_FALSE(Error.empty());
-}
-
-/// Builds a fake sysroot: outer.h includes inner.h, which declares the
-/// type; a macro header defines a symbol directly.
-class FakeSysroot : public ::testing::Test {
-protected:
-  void SetUp() override {
-    Root = fs::path(::testing::TempDir()) / "hds_lint_sysroot";
-    fs::create_directories(Root);
-    write("inner.h", "#pragma once\nstruct Widget { int X; };\n"
-                     "typedef unsigned short gadget_t;\n");
-    write("outer.h", "#pragma once\n#include <inner.h>\n");
-    write("defs.h", "#pragma once\n#define WIDGET_MAX 16\n"
-                    "using widget_fn = int;\n");
-  }
-  void write(const std::string &Name, const std::string &Text) {
-    std::ofstream Out(Root / Name, std::ios::binary);
-    Out << Text;
-  }
-  fs::path Root;
-};
-
-TEST_F(FakeSysroot, ResolvesTransitiveProviders) {
-  auto Table = generateHeaderTable(
-      {{"Widget", false}, {"gadget_t", false}, {"WIDGET_MAX", false},
-       {"widget_fn", false}, {"NoSuchSymbol", false}},
-      {"outer.h", "inner.h", "defs.h"}, {Root.string()});
-  auto Find = [&](const std::string &Sym) -> const HeaderReq * {
-    for (const HeaderReq &Req : Table)
-      if (Req.Symbol == Sym)
-        return &Req;
-    return nullptr;
-  };
-  const HeaderReq *Widget = Find("Widget");
-  ASSERT_NE(Widget, nullptr);
-  EXPECT_TRUE(Widget->Generated);
-  // Declared in inner.h, provided transitively by outer.h; the exact-name
-  // provider ordering puts no header first here (no name match), but both
-  // providers must be present.
-  EXPECT_NE(std::find(Widget->Headers.begin(), Widget->Headers.end(),
-                      "inner.h"),
-            Widget->Headers.end());
-  EXPECT_NE(std::find(Widget->Headers.begin(), Widget->Headers.end(),
-                      "outer.h"),
-            Widget->Headers.end());
-  const HeaderReq *Gadget = Find("gadget_t");
-  ASSERT_NE(Gadget, nullptr);
-  const HeaderReq *Max = Find("WIDGET_MAX");
-  ASSERT_NE(Max, nullptr);
-  EXPECT_EQ(Max->Headers.front(), "defs.h");
-  const HeaderReq *Fn = Find("widget_fn");
-  ASSERT_NE(Fn, nullptr);
-  EXPECT_EQ(Fn->Headers.front(), "defs.h");
-  EXPECT_EQ(Find("NoSuchSymbol"), nullptr);
-}
-
-TEST(LintProjectModel, MergePrefersGeneratedAndFillsGaps) {
-  std::vector<HeaderReq> Generated = {
-      {"vector", true, {"vector"}, true},
-  };
-  auto Merged = mergeHeaderTable(Generated);
-  bool SawVector = false, SawSizeT = false;
-  for (const HeaderReq &Req : Merged) {
-    if (Req.Symbol == "vector") {
-      EXPECT_TRUE(Req.Generated);
-      SawVector = true;
-    }
-    if (Req.Symbol == "size_t") {
-      EXPECT_FALSE(Req.Generated);
-      SawSizeT = true;
-    }
-  }
-  EXPECT_TRUE(SawVector);
-  EXPECT_TRUE(SawSizeT);
-}
-
-TEST(LintProjectModel, GeneratedTableDrivesH1) {
-  // A header using std::optional without <optional>: the generated-only
-  // entry (absent from the curated fallback) must catch it.
-  std::vector<HeaderReq> Table = {
-      {"optional", true, {"optional"}, true},
-  };
-  const char *Header = R"(#pragma once
-inline int orZero(int *P) { return P ? *P : 0; }
-inline std::optional<int> maybe(int *P);
-)";
-  LintOptions Opts;
-  Opts.OnlyRules = {"H1"};
-  Opts.HeaderTable = &Table;
-  std::vector<LexedFile> Files;
-  Files.push_back(lexSource("src/support/Maybe.h", Header));
-  auto Fs = runLint(Files, Opts);
-  ASSERT_EQ(countRule(Fs, "H1"), 1) << dump(Fs);
-  EXPECT_NE(Fs.front().Message.find("optional"), std::string::npos);
-  // Without the generated table, the curated fallback has no optional
-  // entry and stays quiet: exactly the gap the compile DB closes.
-  Opts.HeaderTable = nullptr;
-  auto Fallback = runLint(Files, Opts);
-  EXPECT_EQ(countRule(Fallback, "H1"), 0) << dump(Fallback);
 }
 
 } // namespace

@@ -203,13 +203,18 @@ TEST(LintD4Test, MakeUniqueAndDefaultedOperatorsAreFine) {
 TEST(LintH1Test, FiresOnWrongGuardAndMissingIncludes) {
   auto Fs = lintFixture("h1_bad.h", "src/fixture/h1_bad.h");
   auto Counts = idCounts(Fs);
-  EXPECT_EQ(Counts["H1"], 5)
-      << dump(Fs); // guard, vector, array, span, uint64_t
+  EXPECT_EQ(Counts["H1"], 6)
+      << dump(Fs); // guard, vector, array, span, uint64_t, optional
   bool MentionsCanonical = false;
   for (const Finding &F : Fs)
     if (F.FixHint.find("HDS_FIXTURE_H1_BAD_H") != std::string::npos)
       MentionsCanonical = true;
   EXPECT_TRUE(MentionsCanonical) << dump(Fs);
+  bool MentionsOptional = false;
+  for (const Finding &F : Fs)
+    if (F.FixHint == "add `#include <optional>` to this header")
+      MentionsOptional = true;
+  EXPECT_TRUE(MentionsOptional) << dump(Fs);
 }
 
 TEST(LintH1Test, CanonicalSelfContainedHeaderIsClean) {

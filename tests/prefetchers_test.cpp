@@ -508,18 +508,19 @@ TEST(PairTableConfigTest, RejectsKnobsTheLayoutCannotHold) {
   }));
 }
 
-/// Builds a stack with \p K enabled and one knob zeroed by \p Edit, and
-/// expects the constructor to refuse it with an error naming \p Knob:
-/// a zero-sized table would reach Prefetcher::tableIndex(Key, 0) — a
-/// division by zero — on the first access.
-void expectZeroTableRejected(Prefetcher::Kind K, void (*Edit)(StackConfig &),
-                             const char *Knob) {
+/// Builds a stack with \p K enabled and one knob set out of range by
+/// \p Edit, and expects the constructor to refuse it with an error naming
+/// \p Knob.  A zero-sized table would reach Prefetcher::tableIndex(Key, 0)
+/// — a division by zero — on the first access; a region shift of 64 or
+/// more would shift an address by its full width, which is undefined.
+void expectKnobRejected(Prefetcher::Kind K, void (*Edit)(StackConfig &),
+                        const char *Knob) {
   StackConfig Cfg;
   Cfg.Enabled.set(K, true);
   Edit(Cfg);
   try {
     PrefetcherStack Stack(Cfg);
-    ADD_FAILURE() << Knob << " = 0 was accepted";
+    ADD_FAILURE() << "out-of-range " << Knob << " was accepted";
   } catch (const std::invalid_argument &E) {
     EXPECT_NE(std::string(E.what()).find(Knob), std::string::npos)
         << E.what();
@@ -531,7 +532,7 @@ TEST(TableConfigTest, ZeroStrideTableIsRejected) {
   Cfg.TableEntries = 0;
   EXPECT_THROW({ StridePrefetcher P(Cfg, /*AssignedTag=*/0); },
                std::invalid_argument);
-  expectZeroTableRejected(
+  expectKnobRejected(
       Prefetcher::Stride,
       [](StackConfig &C) { C.StrideCfg.TableEntries = 0; }, "TableEntries");
 }
@@ -541,15 +542,41 @@ TEST(TableConfigTest, ZeroStreamTableIsRejected) {
   Cfg.TableEntries = 0;
   EXPECT_THROW({ StreamPrefetcher P(Cfg, /*AssignedTag=*/0); },
                std::invalid_argument);
-  expectZeroTableRejected(
+  expectKnobRejected(
       Prefetcher::Stream,
       [](StackConfig &C) { C.StreamCfg.TableEntries = 0; }, "TableEntries");
 }
 
 TEST(TableConfigTest, ZeroDuelRegionBucketsIsRejected) {
-  expectZeroTableRejected(
+  expectKnobRejected(
       Prefetcher::Duel,
       [](StackConfig &C) { C.DuelCfg.RegionBuckets = 0; }, "RegionBuckets");
+}
+
+TEST(TableConfigTest, WideStreamRegionShiftIsRejected) {
+  StreamPrefetcherConfig Cfg;
+  Cfg.RegionShift = 64;
+  EXPECT_THROW({ StreamPrefetcher P(Cfg, /*AssignedTag=*/0); },
+               std::invalid_argument);
+  Cfg.RegionShift = 63;
+  EXPECT_NO_THROW({ StreamPrefetcher P(Cfg, /*AssignedTag=*/0); });
+  expectKnobRejected(
+      Prefetcher::Stream,
+      [](StackConfig &C) { C.StreamCfg.RegionShift = 64; }, "RegionShift");
+}
+
+TEST(TableConfigTest, WideDuelRegionShiftIsRejected) {
+  DuelConfig Cfg;
+  Cfg.RegionShift = 64;
+  std::vector<std::unique_ptr<Prefetcher>> Candidates;
+  Candidates.push_back(std::make_unique<StridePrefetcher>(
+      StridePrefetcherConfig(), /*AssignedTag=*/0));
+  EXPECT_THROW(
+      { DuelingSelector D(Cfg, /*AssignedTag=*/1, std::move(Candidates)); },
+      std::invalid_argument);
+  expectKnobRejected(
+      Prefetcher::Duel,
+      [](StackConfig &C) { C.DuelCfg.RegionShift = 64; }, "RegionShift");
 }
 
 TEST(PairTableConfigTest, WidestSetRanksEveryWay) {

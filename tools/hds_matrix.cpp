@@ -18,8 +18,6 @@
 //     --out FILE            write the results JSON to FILE ("-" = stdout)
 //     --timing              include wall-clock timing in the JSON (makes
 //                           the output non-deterministic by design)
-//     --lint-timing FILE    embed a lint_timing.json (scripts/lint.sh)
-//                           under "timing.lint"
 //     --list                print the selected specs and exit
 //     --quiet               suppress the progress lines on stderr
 //
@@ -62,7 +60,6 @@ struct Options {
   std::vector<std::string> Filters;
   std::string OutPath;
   bool Timing = false;
-  std::string LintTimingPath;
   bool List = false;
   bool Quiet = false;
 
@@ -76,8 +73,7 @@ struct Options {
   std::fprintf(
       stderr,
       "usage: %s [--jobs N] [--scale F] [--seeds N] [--filter key=value]...\n"
-      "          [--out FILE] [--timing] [--lint-timing FILE] [--list]\n"
-      "          [--quiet]\n"
+      "          [--out FILE] [--timing] [--list] [--quiet]\n"
       "       %s --diff A.json B.json [--threshold PCT] "
       "[--wall-threshold PCT]\n"
       "%s",
@@ -95,7 +91,6 @@ Options parseOptions(int Argc, char **Argv) {
       .strList("--filter", Opts.Filters)
       .str("--out", Opts.OutPath)
       .flag("--timing", Opts.Timing)
-      .str("--lint-timing", Opts.LintTimingPath)
       .flag("--list", Opts.List)
       .flag("--quiet", Opts.Quiet)
       .strPair("--diff", Opts.DiffA, Opts.DiffB)
@@ -204,22 +199,6 @@ int main(int Argc, char **Argv) {
     return 0;
   }
 
-  engine::TimingInfo Timing;
-  if (!Opts.LintTimingPath.empty()) {
-    bool Ok = false;
-    std::string Text = readWholeFile(Opts.LintTimingPath, Ok);
-    if (!Ok) {
-      std::fprintf(stderr, "error: cannot read lint timing file '%s'\n",
-                   Opts.LintTimingPath.c_str());
-      return 2;
-    }
-    // Trim trailing whitespace so the embedded value nests cleanly.
-    while (!Text.empty() &&
-           (Text.back() == '\n' || Text.back() == '\r' || Text.back() == ' '))
-      Text.pop_back();
-    Timing.LintJson = Text;
-  }
-
   unsigned Jobs = Opts.Jobs != 0 ? Opts.Jobs
                                  : std::thread::hardware_concurrency();
   if (Jobs == 0)
@@ -244,6 +223,7 @@ int main(int Argc, char **Argv) {
       engine::runMatrix(Specs, Jobs, std::move(OnResult));
   const auto End = std::chrono::steady_clock::now();
 
+  engine::TimingInfo Timing;
   if (Opts.Timing) {
     Timing.IncludeWall = true;
     Timing.WallMillis = static_cast<uint64_t>(
