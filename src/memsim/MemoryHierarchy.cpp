@@ -80,7 +80,7 @@ void MemoryHierarchy::drainDuePrefetchesSlow() {
   }
 }
 
-void MemoryHierarchy::prefetchT0(Addr Address, bool ChargeIssueSlot,
+bool MemoryHierarchy::prefetchT0(Addr Address, bool ChargeIssueSlot,
                                  uint32_t StreamTag) {
   drainDuePrefetches();
   if (ChargeIssueSlot)
@@ -94,12 +94,12 @@ void MemoryHierarchy::prefetchT0(Addr Address, bool ChargeIssueSlot,
   if (L1.contains(Address) || findInFlight(Block) != NotInFlight) {
     ++Stats.PrefetchesRedundant;
     ++Bucket.Redundant;
-    return;
+    return false;
   }
   if (InFlight >= Latency.MaxInFlightPrefetches) {
     ++Stats.PrefetchesDroppedQueueFull;
     ++Bucket.DroppedQueueFull;
-    return;
+    return false;
   }
 
   // L2-resident: only the L1 fill is outstanding.  touchIfPresent probes
@@ -114,6 +114,7 @@ void MemoryHierarchy::prefetchT0(Addr Address, bool ChargeIssueSlot,
                             (FillL2 ? FromMemory : FromL2).push(I), FillL2};
   if (ReadyCycle < NextReadyCycle)
     NextReadyCycle = ReadyCycle;
+  return true;
 }
 
 void MemoryHierarchy::reset() {

@@ -236,7 +236,9 @@ public:
   /// prefetches (stride/Markov engines) pass \p ChargeIssueSlot = false.
   /// \p StreamTag attributes the prefetch (and every later classification
   /// event on its block) to the hot data stream that requested it.
-  void prefetchT0(Addr Address, bool ChargeIssueSlot = true,
+  /// Returns true when the prefetch was placed, i.e. queued a fill; a
+  /// redundant or queue-full prefetch returns false.
+  bool prefetchT0(Addr Address, bool ChargeIssueSlot = true,
                   uint32_t StreamTag = obs::NoStreamTag);
 
   /// Completes every in-flight prefetch and clears both caches and the

@@ -29,7 +29,7 @@ DuelingSelector::DuelingSelector(
       static_cast<size_t>(Config.RegionBuckets) * Candidates.size();
   UsefulCount.assign(Cells, 0);
   LateCount.assign(Cells, 0);
-  IssuedCount.assign(Cells, 0);
+  PlacedCount.assign(Cells, 0);
   EpochsSampled.assign(Candidates.size(), 0);
   Winner.assign(Config.RegionBuckets, 0);
 }
@@ -38,7 +38,7 @@ int64_t DuelingSelector::score(size_t Bucket, size_t Candidate) const {
   const size_t C = cell(Bucket, Candidate);
   return 4 * static_cast<int64_t>(UsefulCount[C]) +
          static_cast<int64_t>(LateCount[C]) -
-         static_cast<int64_t>(IssuedCount[C]);
+         static_cast<int64_t>(PlacedCount[C]);
 }
 
 void DuelingSelector::converge() {
@@ -57,21 +57,21 @@ void DuelingSelector::converge() {
     }
   }
 
-  // Per-bucket winners where the bucket saw any issues at all.
+  // Per-bucket winners where the bucket saw any placed prefetch at all.
   ResolvedBuckets = 0;
   for (size_t B = 0; B < Config.RegionBuckets; ++B) {
-    uint64_t BucketIssued = 0;
+    uint64_t BucketPlaced = 0;
     size_t Best = 0;
     int64_t BestScore = 0;
     for (size_t I = 0; I < N; ++I) {
-      BucketIssued += IssuedCount[cell(B, I)];
+      BucketPlaced += PlacedCount[cell(B, I)];
       const int64_t S = score(B, I);
       if (I == 0 || S > BestScore) {
         BestScore = S;
         Best = I;
       }
     }
-    if (BucketIssued == 0) {
+    if (BucketPlaced == 0) {
       Winner[B] = static_cast<uint32_t>(GlobalWinner);
     } else {
       Winner[B] = static_cast<uint32_t>(Best);
@@ -99,16 +99,16 @@ void DuelingSelector::onAccess(const AccessEvent &Event,
   }
 
   const size_t Bucket = bucketOf(Event.Addr);
-  const size_t Issuer = Converged ? Winner[Bucket] : ActiveIdx;
+  const size_t Issuer = issuerFor(Bucket);
 
   for (size_t I = 0; I < N; ++I) {
     Prefetcher &C = *Candidates[I];
     C.setIssueEnabled(I == Issuer);
-    const uint64_t Before = C.issued();
+    const uint64_t Before = C.placed();
     // Train everyone on everything; only the issuer's gate is open.
     C.observe(Event, Hierarchy);
     if (!Converged)
-      IssuedCount[cell(Bucket, I)] += C.issued() - Before;
+      PlacedCount[cell(Bucket, I)] += C.placed() - Before;
   }
 }
 
@@ -141,6 +141,11 @@ Prefetcher *DuelingSelector::candidateByTag(uint32_t CandidateTag) {
 
 size_t DuelingSelector::winnerFor(memsim::Addr Addr) const {
   return Winner[bucketOf(Addr)];
+}
+
+bool DuelingSelector::mayChain(uint32_t CandidateTag,
+                               memsim::Addr BlockAddr) const {
+  return Candidates[issuerFor(bucketOf(BlockAddr))]->tag() == CandidateTag;
 }
 
 void DuelingSelector::appendStats(
@@ -182,7 +187,7 @@ void DuelingSelector::reset() {
   Converged = false;
   UsefulCount.assign(UsefulCount.size(), 0);
   LateCount.assign(LateCount.size(), 0);
-  IssuedCount.assign(IssuedCount.size(), 0);
+  PlacedCount.assign(PlacedCount.size(), 0);
   EpochsSampled.assign(EpochsSampled.size(), 0);
   Winner.assign(Winner.size(), 0);
   ResolvedBuckets = 0;

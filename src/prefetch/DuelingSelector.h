@@ -24,14 +24,22 @@
 /// Scoring is integer arithmetic over the obs::StreamPrefetchStats
 /// classes (rule D5 forbids float accumulation in src/):
 ///
-///   score(region, candidate) = 4*useful + 1*late - 1*issued
+///   score(region, candidate) = 4*useful + 1*late - 1*placed
 ///
 /// which linearizes accuracy and timeliness: a useful prefetch nets +3
-/// (it paid for its issue and hid a full miss), a late one nets 0 (it
-/// hid only a tail), and an issue that never helped nets -1.  After
-/// SampleRounds full rotations the selector freezes: each region bucket
-/// with any observed issues keeps its argmax candidate (ties to the
-/// lowest index), and unresolved buckets fall back to the global argmax.
+/// (it paid for its fill and hid a full miss), a late one nets 0 (it
+/// hid only a tail), and a placed prefetch that never helped nets -1.
+/// Placed prefetches are the issues that queued a fill; a redundant or
+/// queue-full issue costs the machine nothing and the candidate nothing
+/// (Triangel, PAPERS.md, likewise judges only the predictions placed).
+/// After SampleRounds full rotations the selector freezes: each region
+/// bucket with any placed prefetch keeps its argmax candidate (ties to
+/// the lowest index), and unresolved buckets fall back to the global
+/// argmax.
+///
+/// A fill-chained prefetch (issued from onFill when a candidate's block
+/// lands) is gated by the landed block's region through mayChain(), not
+/// by the gate the last demand access set for its own region.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -99,6 +107,12 @@ public:
   size_t winnerFor(memsim::Addr Addr) const;
   /// Converged global fallback winner index (tests).
   size_t globalWinner() const { return GlobalWinner; }
+  /// Whether the candidate holding \p CandidateTag may issue the
+  /// fill-chained prefetches of a block landing at \p BlockAddr: it is
+  /// the sampled candidate, or (once converged) it won that block's
+  /// region.  The stack gates onFill with this rather than with the
+  /// gate the last demand access left, which belongs to another region.
+  bool mayChain(uint32_t CandidateTag, memsim::Addr BlockAddr) const;
 
   /// One row for the selector itself plus one per candidate, in
   /// candidate order (classification counters joined by the stack).
@@ -110,6 +124,11 @@ private:
   }
   size_t cell(size_t Bucket, size_t Candidate) const {
     return Bucket * Candidates.size() + Candidate;
+  }
+  /// The candidate whose gate is open in \p Bucket: the sampled one
+  /// until convergence, the bucket's winner after.
+  size_t issuerFor(size_t Bucket) const {
+    return Converged ? Winner[Bucket] : ActiveIdx;
   }
   int64_t score(size_t Bucket, size_t Candidate) const;
   void converge();
@@ -125,7 +144,7 @@ private:
   /// Per (bucket, candidate) observation counters, indexed by cell().
   std::vector<uint64_t> UsefulCount;
   std::vector<uint64_t> LateCount;
-  std::vector<uint64_t> IssuedCount;
+  std::vector<uint64_t> PlacedCount;
   /// Epochs each candidate spent as the sampled issuer.
   std::vector<uint64_t> EpochsSampled;
   /// Converged per-bucket winner (candidate index).

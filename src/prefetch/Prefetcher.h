@@ -153,6 +153,7 @@ public:
   virtual void reset() {
     Trains = 0;
     Issued = 0;
+    Placed = 0;
   }
 
   /// Appends this prefetcher's report row(s): identity plus the local
@@ -189,15 +190,20 @@ public:
   uint64_t trains() const { return Trains; }
   /// Prefetches this object pushed through issue() while enabled.
   uint64_t issued() const { return Issued; }
+  /// Of those, the ones that queued a fill (neither redundant nor
+  /// dropped on a full queue): the only issues that cost the machine.
+  uint64_t placed() const { return Placed; }
 
 protected:
   /// Issues a hardware prefetch for \p Target under this prefetcher's
-  /// tag, spending no instruction issue slot.  Gated by the selector's
-  /// enable bit; returns true when the issue reached the hierarchy.
+  /// tag, spending no instruction issue slot, and counts it placed when
+  /// it queued a fill.  Gated by the selector's enable bit; returns true
+  /// when the issue reached the hierarchy.
   bool issue(memsim::Addr Target, memsim::MemoryHierarchy &Hierarchy) {
     if (!IssueEnabled)
       return false;
-    Hierarchy.prefetchT0(Target, /*ChargeIssueSlot=*/false, Tag);
+    if (Hierarchy.prefetchT0(Target, /*ChargeIssueSlot=*/false, Tag))
+      ++Placed;
     ++Issued;
     return true;
   }
@@ -230,6 +236,7 @@ private:
   bool IssueEnabled = true;
   uint64_t Trains = 0;
   uint64_t Issued = 0;
+  uint64_t Placed = 0;
   TuningPolicy *Tuner = nullptr;
 };
 

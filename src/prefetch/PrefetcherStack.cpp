@@ -83,8 +83,21 @@ void PrefetcherStack::onPrefetchFill(memsim::Addr BlockAddr,
                                      memsim::MemoryHierarchy &Hierarchy) {
   if (StreamTag >= Owners.size())
     return; // hot-stream or untagged prefetch, not ours
-  if (Owners[StreamTag]->observesFills())
-    Owners[StreamTag]->onFill(BlockAddr, Hierarchy);
+  Prefetcher &Owner = *Owners[StreamTag];
+  if (!Owner.observesFills())
+    return;
+  const DuelingSelector *D = Duels[StreamTag];
+  if (!D) {
+    Owner.onFill(BlockAddr, Hierarchy);
+    return;
+  }
+  // A duel candidate chains only where it is the region's issuer.  The
+  // gate is restored afterwards: this fill can land in the middle of a
+  // demand access's issue loop (issue -> prefetchT0 -> drain -> here).
+  const bool DemandGate = Owner.issueEnabled();
+  Owner.setIssueEnabled(D->mayChain(StreamTag, BlockAddr));
+  Owner.onFill(BlockAddr, Hierarchy);
+  Owner.setIssueEnabled(DemandGate);
 }
 
 void PrefetcherStack::onPrefetchUseful(memsim::Addr Addr, uint32_t StreamTag) {

@@ -33,9 +33,14 @@ void TuningPolicy::rollEpoch(
     if (!State.Active)
       continue;
     const obs::PrefetchClassCounts &Now = Classes[Tag];
-    const uint64_t Issued = Now.Issued - State.Snapshot.Issued;
-    const uint64_t Useful = Now.Useful - State.Snapshot.Useful;
-    const uint64_t Late = Now.Late - State.Snapshot.Late;
+    const obs::PrefetchClassCounts &Then = State.Snapshot;
+    // Placed prefetches queued a fill; redundant and queue-full issues
+    // cost the machine nothing, so they are neither signal nor blame.
+    const uint64_t Placed = (Now.Issued - Then.Issued) -
+                            (Now.Redundant - Then.Redundant) -
+                            (Now.DroppedQueueFull - Then.DroppedQueueFull);
+    const uint64_t Useful = Now.Useful - Then.Useful;
+    const uint64_t Late = Now.Late - Then.Late;
     State.Snapshot = Now;
 
     if (State.Degree == 0) {
@@ -47,13 +52,15 @@ void TuningPolicy::rollEpoch(
       }
       continue;
     }
-    if (Issued < Config.MinSample)
+    if (Placed < Config.MinSample)
       continue; // too little signal; hold the settings
 
-    // accuracy = useful/issued vs AccuracyNum/AccuracyDen, compared by
-    // cross-multiplication to stay in integers.
+    // accuracy = (useful + late)/placed vs AccuracyNum/AccuracyDen,
+    // compared by cross-multiplication to stay in integers.  A late
+    // prefetch was still correct; timeliness below steers the distance.
+    const uint64_t Demanded = Useful + Late;
     const bool Accurate =
-        Useful * Config.AccuracyDen >= Issued * Config.AccuracyNum;
+        Demanded * Config.AccuracyDen >= Placed * Config.AccuracyNum;
     if (!Accurate) {
       State.Degree /= 2;
       if (State.Degree == 0) {
@@ -68,7 +75,6 @@ void TuningPolicy::rollEpoch(
     // timeliness = useful/(useful+late); grow the distance while late
     // prefetches dominate, shrink it only on an epoch with none at all
     // (the cautious reverse move, so the loop doesn't oscillate).
-    const uint64_t Demanded = Useful + Late;
     if (Demanded == 0)
       continue;
     const bool Timely =

@@ -11,9 +11,12 @@
 /// issuing decision, the "accurate AND timely" control loop temporal
 /// prefetchers use (Triangel, PAPERS.md):
 ///
-///   * accuracy  = useful / issued          steers **degree** — how many
-///     targets to issue per trigger.  An inaccurate stream's degree is
-///     halved each epoch (multiplicative back-off) down to 0 =
+///   * accuracy  = (useful + late) / placed  steers **degree** — how
+///     many targets to issue per trigger.  Placed prefetches are the
+///     issued ones that queued a fill (issued - redundant - dropped on a
+///     full queue); the others cost the machine nothing, so they count
+///     neither for nor against the stream.  An inaccurate stream's
+///     degree is halved each epoch (multiplicative back-off) down to 0 =
 ///     **squelched**; an accurate one's creeps up by 1 (cautious
 ///     additive raise) toward MaxDegree.
 ///   * timeliness = useful / (useful + late) steers **distance** — how
@@ -63,15 +66,15 @@ struct TuningConfig {
   uint32_t MaxDegree = 32;
   /// Distance ceiling for the timeliness walk.
   uint32_t MaxDistance = 8;
-  /// Accuracy floor: useful/issued >= AccuracyNum/AccuracyDen keeps the
-  /// degree; below it the degree halves.
+  /// Accuracy floor: (useful+late)/placed >= AccuracyNum/AccuracyDen
+  /// raises the degree; below it the degree halves.
   uint32_t AccuracyNum = 1;
   uint32_t AccuracyDen = 4;
   /// Timeliness floor: useful/(useful+late) >= TimelyNum/TimelyDen
   /// holds the distance; below it the distance grows.
   uint32_t TimelyNum = 1;
   uint32_t TimelyDen = 2;
-  /// Minimum epoch-delta issued count before the rules fire (too little
+  /// Minimum epoch-delta placed count before the rules fire (too little
   /// signal reads as noise; the stream keeps its settings).
   uint64_t MinSample = 16;
   /// Epochs a squelched stream sits out before the degree-1 re-probe.

@@ -701,6 +701,116 @@ TEST(DuelingSelectorTest, StatsReportSelectorAndCandidates) {
   EXPECT_EQ(Rows[1].SelectedRegions + Rows[2].SelectedRegions, 4u);
 }
 
+TEST(DuelingSelectorTest, RedundantIssuesDoNotLowerTheScore) {
+  // Stride is sampled first and runs a confirmed stride over blocks that
+  // are already resident: 7 of its 8 issues are redundant and 1 queues a
+  // fill, which turns useful.  Scored on issues (4*1 - 8) it would lose
+  // the region to the idle stream engine; scored on placed prefetches
+  // (4*1 - 1) it wins.
+  DuelConfig Cfg;
+  Cfg.RegionBuckets = 4;
+  Cfg.EpochAccesses = 6;
+  Cfg.SampleRounds = 1;
+  memsim::MemoryHierarchy Memory;
+  for (memsim::Addr A = 0x1C0; A <= 0x280; A += 0x40)
+    Memory.access(A);
+  auto Selector = duel::makeSelector(Cfg);
+
+  // Epoch 0 (stride sampled): accesses 3..6 issue two targets each.
+  for (memsim::Addr A = 0x100; A <= 0x240; A += 0x40)
+    Selector->onAccess(hit(1, A), Memory);
+  const Prefetcher &Stride = *Selector->candidates()[0];
+  ASSERT_EQ(Stride.issued(), 8u);
+  ASSERT_EQ(Stride.placed(), 1u);
+  Selector->noteUseful(0, 0x2C0);
+  // Epoch 1 (stream sampled): hits only, so the stream engine is idle.
+  for (memsim::Addr A = 0x100; A <= 0x240; A += 0x40)
+    Selector->onAccess(hit(1, A), Memory);
+
+  Selector->onAccess(hit(1, 0x100), Memory);
+  ASSERT_TRUE(Selector->converged());
+  EXPECT_EQ(Selector->winnerFor(0x100), 0u);
+}
+
+TEST(DuelingSelectorTest, FillChainsOnlyWhereItsEngineWonTheRegion) {
+  // A converged stride-vs-pair duel: pair wins region R1, stride wins
+  // R2.  A pair fill chains by the region it lands in, whichever region
+  // the last demand access left the gates set for.
+  StackConfig Cfg;
+  Cfg.Enabled.set(Prefetcher::Duel, true);
+  Cfg.Enabled.set(Prefetcher::Stride, true);
+  Cfg.Enabled.set(Prefetcher::PairTable, true);
+  Cfg.DuelCfg.RegionBuckets = 4;
+  Cfg.DuelCfg.EpochAccesses = 8;
+  Cfg.DuelCfg.SampleRounds = 1;
+  PrefetcherStack Stack(Cfg);
+  memsim::MemoryHierarchy Memory;
+  Prefetcher *Stride = Stack.byKind(Prefetcher::Stride);
+  Prefetcher *Pair = Stack.byKind(Prefetcher::PairTable);
+  ASSERT_NE(Stride, nullptr);
+  ASSERT_NE(Pair, nullptr);
+
+  // Regions are 4 KiB; R1 lies in bucket 0, R2 in bucket 1, and the
+  // padding address in bucket 2.
+  const memsim::Addr X = 0x10000, Y = 0x10040;   // R1
+  const memsim::Addr X2 = 0x21800, Y2 = 0x21840; // R2
+  const memsim::Addr Pad = 0x32000;
+  uint64_t Accesses = 0;
+  auto Access = [&](vulcan::SiteId Site, memsim::Addr Addr, bool Miss) {
+    Stack.onAccess(Site, Addr, Miss ? 100 : 1, Miss, Memory);
+    ++Accesses;
+  };
+  auto FinishEpoch = [&]() {
+    while (Accesses % Cfg.DuelCfg.EpochAccesses != 0)
+      Access(9, Pad, false);
+  };
+
+  // Epoch 0 (stride sampled): a confirmed stride in R2 places prefetches
+  // that turn useful.
+  for (memsim::Addr A = 0x21000; A <= 0x210C0; A += 0x40)
+    Access(1, A, false);
+  FinishEpoch();
+  Stack.onPrefetchUseful(0x210C0, Stride->tag());
+  Stack.onPrefetchUseful(0x21100, Stride->tag());
+  // Epoch 1 (pair sampled): X->Y reaches the issue threshold in R1 and
+  // its prefetch turns useful.
+  for (memsim::Addr A : {X, Y, X, Y, X})
+    Access(2, A, true);
+  FinishEpoch();
+  Stack.onPrefetchUseful(Y, Pair->tag());
+  Stack.onPrefetchUseful(Y, Pair->tag());
+  Access(9, Pad, false); // freezes the decision
+  DuelingSelector *Selector = Stack.selector();
+  ASSERT_NE(Selector, nullptr);
+  ASSERT_TRUE(Selector->converged());
+  ASSERT_EQ(Selector->candidates()[Selector->winnerFor(X)].get(), Pair);
+  ASSERT_EQ(Selector->candidates()[Selector->winnerFor(X2)].get(), Stride);
+  // Pair trains X2->Y2 in R2 (it trains everywhere, issuing or not).
+  for (memsim::Addr A : {X2, Y2, X2, Y2, X2})
+    Access(2, A, true);
+
+  // The last demand access fell in R2: pair's demand gate is shut, yet
+  // X's fill lands in R1, which pair won, so it chains to Y.
+  Access(3, 0x21F00, false);
+  ASSERT_FALSE(Pair->issueEnabled());
+  uint64_t Before = Pair->issued();
+  Stack.onPrefetchFill(X, Pair->tag(), Memory);
+  EXPECT_EQ(Pair->issued() - Before, 1u);
+  EXPECT_FALSE(Pair->issueEnabled());
+
+  // The other way round: the demand gate is open (R1) but X2's fill
+  // lands in R2, which stride won, so it does not chain.
+  Access(3, 0x10F00, false);
+  ASSERT_TRUE(Pair->issueEnabled());
+  Before = Pair->issued();
+  Stack.onPrefetchFill(X2, Pair->tag(), Memory);
+  EXPECT_EQ(Pair->issued(), Before);
+  EXPECT_TRUE(Pair->issueEnabled());
+  // Control: with its gate open, pair would have chained X2 -> Y2.
+  Pair->onFill(X2, Memory);
+  EXPECT_EQ(Pair->issued() - Before, 1u);
+}
+
 //===----------------------------------------------------------------------===//
 // Runtime integration (the prefetcher stack)
 //===----------------------------------------------------------------------===//

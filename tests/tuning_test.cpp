@@ -36,6 +36,14 @@ struct Buckets {
     Classes[Tag].Useful += Useful;
     Classes[Tag].Late += Late;
   }
+
+  /// Adds issues that placed no fill: \p Redundant found their block
+  /// resident or in flight, \p Dropped found the queue full.
+  void addUnplaced(size_t Tag, uint64_t Redundant, uint64_t Dropped) {
+    Classes[Tag].Issued += Redundant + Dropped;
+    Classes[Tag].Redundant += Redundant;
+    Classes[Tag].DroppedQueueFull += Dropped;
+  }
 };
 
 TuningConfig smallConfig() {
@@ -121,6 +129,49 @@ TEST(TuningPolicy, ThinEpochHoldsTheSettings) {
   B.addEpoch(0, /*Issued=*/3, /*Useful=*/0);
   Policy.rollEpoch(B.Classes);
   EXPECT_EQ(Policy.degree(0, 4), 4u);
+}
+
+TEST(TuningPolicy, EpochOfUnplacedIssuesHoldsTheDegree) {
+  TuningPolicy Policy(smallConfig());
+  Buckets B(1);
+  ASSERT_EQ(Policy.degree(0, 4), 4u);
+  // Redundant and queue-full issues cost nothing and prove nothing:
+  // however many there are, fewer than MinSample placed holds the degree.
+  B.addUnplaced(0, /*Redundant=*/40, /*Dropped=*/0);
+  Policy.rollEpoch(B.Classes);
+  EXPECT_EQ(Policy.degree(0, 4), 4u);
+  B.addUnplaced(0, /*Redundant=*/0, /*Dropped=*/40);
+  Policy.rollEpoch(B.Classes);
+  EXPECT_EQ(Policy.degree(0, 4), 4u);
+  B.addUnplaced(0, /*Redundant=*/20, /*Dropped=*/20);
+  B.addEpoch(0, /*Issued=*/3, /*Useful=*/0);
+  Policy.rollEpoch(B.Classes);
+  EXPECT_EQ(Policy.degree(0, 4), 4u);
+}
+
+TEST(TuningPolicy, AccuracyIsOverPlacedPrefetches) {
+  TuningPolicy Policy(smallConfig());
+  Buckets B(1);
+  ASSERT_EQ(Policy.degree(0, 4), 4u);
+  // 3 useful of 8 placed is accurate (>= 1/4), although it is well
+  // under a quarter of the 48 issued.
+  B.addEpoch(0, /*Issued=*/8, /*Useful=*/3);
+  B.addUnplaced(0, /*Redundant=*/32, /*Dropped=*/8);
+  Policy.rollEpoch(B.Classes);
+  EXPECT_EQ(Policy.degree(0, 4), 5u);
+}
+
+TEST(TuningPolicy, LatePrefetchesCountAsAccurate) {
+  TuningPolicy Policy(smallConfig());
+  Buckets B(1);
+  ASSERT_EQ(Policy.degree(0, 4), 4u);
+  // Every placed prefetch was demanded, all of them late: the targets
+  // were right, so the degree rises, and the distance grows to fix the
+  // timing.
+  B.addEpoch(0, /*Issued=*/16, /*Useful=*/0, /*Late=*/16);
+  Policy.rollEpoch(B.Classes);
+  EXPECT_EQ(Policy.degree(0, 4), 5u);
+  EXPECT_EQ(Policy.distance(0), 1u);
 }
 
 //===----------------------------------------------------------------------===//
