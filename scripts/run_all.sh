@@ -1,7 +1,7 @@
 #!/bin/sh
-# Builds everything, runs the test suite and the lint pass, and runs the
+# Builds everything, runs the test suite and the lint pass, runs the
 # full experiment matrix (with two layout-seed variants per cell) through
-# the parallel engine.
+# the parallel engine, and prints Figures 11 and 12 and Table 2 from it.
 #
 # The matrix document goes to build/matrix.json; its merged results are
 # byte-identical for any --jobs value (see docs/engine.md).  It does not
@@ -28,5 +28,9 @@ scripts/lint.sh --lint-only
   --seeds 2 \
   --timing \
   --out build/matrix.json 2>&1 | tee bench_output.txt
+
+for view in fig11 fig12 table2; do
+  ./build/tools/hds_matrix --render "$view" --scale "$SCALE" build/matrix.json
+done
 
 echo "matrix results: build/matrix.json"

@@ -69,8 +69,6 @@ public:
   /// (hds_bench --repeat).
   OptionSet &unsAtLeastOne(const char *Name, unsigned &Target);
 
-  /// atof, anything goes (the historical hds_run --scale).
-  OptionSet &looseDouble(const char *Name, double &Target);
   /// Strict parse; "error: invalid --name '...' (need a finite number
   /// > 0)" and exit 2 unless the value is finite and positive.
   OptionSet &positiveDouble(const char *Name, double &Target);
@@ -87,6 +85,10 @@ public:
   OptionSet &add(const char *Name, unsigned Operands,
                  std::function<void(const char *const *)> Apply);
 
+  /// One optional bare argument (not an option, not starting with
+  /// '-'), stored verbatim: the document of hds_matrix --render.
+  OptionSet &operand(std::string &Target);
+
   /// Walks argv; calls the usage callback on anything unregistered.
   void parse(int Argc, char **Argv) const;
 
@@ -100,6 +102,7 @@ private:
 
   UsageFn Usage;
   std::vector<Option> Table;
+  std::string *Operand = nullptr;
 };
 
 /// Registers the five hardware-prefetcher flags (--stride --markov

@@ -18,10 +18,16 @@
 using namespace hds;
 using namespace hds::engine;
 
-RunResult hds::engine::runExperiment(const ExperimentSpec &Spec,
-                                     ConfigTweak Tweak) {
+RunResult hds::engine::runExperiment(const ExperimentSpec &Spec) {
   RunResult Result;
   Result.Spec = Spec;
+
+  // The prefix DFSM needs at least one head symbol per stream.
+  if (Spec.HeadLength == 0) {
+    Result.State = RunResult::Status::Error;
+    Result.Error = "head length must be >= 1";
+    return Result;
+  }
 
   std::unique_ptr<workloads::Workload> Bench =
       workloads::createWorkload(Spec.Workload);
@@ -31,11 +37,7 @@ RunResult hds::engine::runExperiment(const ExperimentSpec &Spec,
     return Result;
   }
 
-  core::OptimizerConfig Config = Spec.materializeConfig();
-  if (Tweak)
-    Tweak(Config);
-
-  core::Runtime Rt(Config);
+  core::Runtime Rt(Spec.materializeConfig());
 
   // Layout seed: shift the heap base deterministically so every
   // subsequent allocation lands on different cache blocks/sets.  The pad

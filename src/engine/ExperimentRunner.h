@@ -98,15 +98,10 @@ struct RunResult {
   bool ok() const { return State == Status::Ok; }
 };
 
-/// Optional hook adjusting the materialized configuration before the
-/// Runtime is constructed (the figure benches' ablation tweaks).  Tweaked
-/// runs are not reproducible from the spec alone, so the matrix engine
-/// never applies one; only direct runExperiment callers do.
-using ConfigTweak = void (*)(core::OptimizerConfig &);
-
-/// Runs one spec to completion in the calling thread.
-RunResult runExperiment(const ExperimentSpec &Spec,
-                        ConfigTweak Tweak = nullptr);
+/// Runs one spec to completion in the calling thread.  A spec that
+/// cannot run (unknown workload, head length 0) comes back
+/// Status::Error with the reason.
+RunResult runExperiment(const ExperimentSpec &Spec);
 
 /// Progress callback of runMatrix: the spec index and its result.
 using ResultCallback = std::function<void(std::size_t, const RunResult &)>;

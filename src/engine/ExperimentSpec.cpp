@@ -22,6 +22,9 @@ core::OptimizerConfig ExperimentSpec::materializeConfig() const {
   Config.PinFirstOptimization = Pin;
   Config.AdaptiveHibernation = Adaptive;
   Config.Tuning.Enabled = Tuned;
+  Config.L2.SizeBytes = L2Bytes;
+  Config.Tracing.NCheck0 = NCheck0;
+  Config.QuietHeadPlacement = QuietHead;
   return Config;
 }
 
@@ -45,6 +48,14 @@ std::string ExperimentSpec::label() const {
     Label += "+adaptive";
   if (Tuned)
     Label += "+tuned";
+  if (HeadLength != ExperimentSpec().HeadLength)
+    Label += "+head=" + std::to_string(HeadLength);
+  if (L2Bytes != ExperimentSpec().L2Bytes)
+    Label += "+l2=" + std::to_string(L2Bytes / 1024) + "KB";
+  if (NCheck0 != ExperimentSpec().NCheck0)
+    Label += "+ncheck0=" + std::to_string(NCheck0);
+  if (!QuietHead)
+    Label += "+literal";
   return Label;
 }
 

@@ -64,6 +64,16 @@ struct ExperimentSpec {
   /// Closed-loop degree/distance tuning (prefetch/TuningPolicy.h): the
   /// "tuned" spec axis.  Orthogonal to Adaptive (hibernation).
   bool Tuned = false;
+  /// L2 capacity in bytes; associativity and block size stay the
+  /// Pentium III L2's (the cachesize view).
+  uint64_t L2Bytes = 256 * 1024;
+  /// Awake-phase checks between bursts, Tracing.NCheck0 (the
+  /// sampling_rate view).
+  uint64_t NCheck0 = 6'007;
+  /// Quiet head placement (OptimizerConfig::QuietHeadPlacement); false
+  /// matches each stream's literal prefix as the paper does (the
+  /// headlen view).
+  bool QuietHead = true;
 
   /// Materializes the OptimizerConfig this spec describes.
   core::OptimizerConfig materializeConfig() const;

@@ -77,7 +77,8 @@ const std::vector<const char *> &hds::engine::specIdentityFields() {
   static const std::vector<const char *> Fields = {
       "workload", "mode",   "mode_name", "scale", "seed",
       "head_length", "stride", "markov", "pin",   "adaptive",
-      "stream_pf", "pair_pf", "duel_pf", "tuned",
+      "stream_pf", "pair_pf", "duel_pf", "tuned", "l2_bytes", "ncheck0",
+      "quiet_head",
   };
   return Fields;
 }

@@ -6,6 +6,7 @@
 
 #include "engine/ResultsDiff.h"
 
+#include "engine/ExperimentSpec.h"
 #include "engine/MetricRegistry.h"
 
 #include <cmath>
@@ -321,6 +322,26 @@ void flattenMetrics(const JsonValue &Object, const std::string &Prefix,
   }
 }
 
+/// The value an identity field appended after the first documents
+/// defaults to when a document omits it, or nullptr for a field every
+/// document carries.  Omission means the default, so old and new
+/// documents still pair cell for cell.
+const char *appendedFieldDefault(const std::string &Field) {
+  static const std::vector<std::pair<std::string, std::string>> Defaults = {
+      {"stream_pf", "false"},
+      {"pair_pf", "false"},
+      {"duel_pf", "false"},
+      {"tuned", "false"},
+      {"l2_bytes", std::to_string(ExperimentSpec().L2Bytes)},
+      {"ncheck0", std::to_string(ExperimentSpec().NCheck0)},
+      {"quiet_head", ExperimentSpec().QuietHead ? "true" : "false"},
+  };
+  for (const auto &[Name, Default] : Defaults)
+    if (Name == Field)
+      return Default.c_str();
+  return nullptr;
+}
+
 Cell makeCell(const JsonValue &Result) {
   Cell Out;
   std::string Key;
@@ -332,19 +353,12 @@ Cell makeCell(const JsonValue &Result) {
       Key += ' ';
     Key += Field;
     Key += '=';
-    if (Value) {
+    if (Value)
       Key += scalarToText(*Value);
-    } else if (std::string(Field) == "stream_pf" ||
-               std::string(Field) == "pair_pf" ||
-               std::string(Field) == "duel_pf" ||
-               std::string(Field) == "tuned") {
-      // Appended after the stream/pair/duel/tuned flags existed:
-      // snapshots written before then omit them, and omission means
-      // disabled — so old and new documents still pair cell for cell.
-      Key += "false";
-    } else {
+    else if (const char *Default = appendedFieldDefault(Field))
+      Key += Default;
+    else
       Key += '?';
-    }
   }
   Out.Key = Key;
   if (const JsonValue *Status = Result.find("status"))

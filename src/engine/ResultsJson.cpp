@@ -36,8 +36,9 @@ const char *statusName(RunResult::Status State) {
 }
 
 /// The Original-mode baseline a result's overhead is normalized to, or
-/// nullptr when the result set has none: same workload/scale/seed and
-/// iteration override, no hardware prefetchers, completed successfully.
+/// nullptr when the result set has none: same workload/scale/seed,
+/// iteration override and L2 capacity, no hardware prefetchers,
+/// completed successfully.
 const RunResult *findBaseline(const std::vector<RunResult> &Results,
                               const ExperimentSpec &Spec) {
   for (const RunResult &Candidate : Results) {
@@ -45,7 +46,7 @@ const RunResult *findBaseline(const std::vector<RunResult> &Results,
     if (Candidate.ok() && C.Mode == core::RunMode::Original &&
         C.Prefetchers.none() && !C.Tuned && C.Workload == Spec.Workload &&
         C.Scale == Spec.Scale && C.Seed == Spec.Seed &&
-        C.Iterations == Spec.Iterations)
+        C.Iterations == Spec.Iterations && C.L2Bytes == Spec.L2Bytes)
       return &Candidate;
   }
   return nullptr;
@@ -163,6 +164,11 @@ void emitResult(JsonBuilder &Json, const RunResult &Result,
   Json.fieldBool("duel_pf", Spec.Prefetchers.has(prefetch::Prefetcher::Duel));
   // Appended (append-only schema growth): closed-loop tuning axis.
   Json.fieldBool("tuned", Spec.Tuned);
+  // Appended: the knobs the cachesize, sampling_rate and headlen views
+  // vary (engine/Views.h).
+  Json.field("l2_bytes", Spec.L2Bytes);
+  Json.field("ncheck0", Spec.NCheck0);
+  Json.fieldBool("quiet_head", Spec.QuietHead);
   Json.fieldString("status", statusName(Result.State));
   if (!Result.Error.empty())
     Json.fieldString("error", Result.Error);

@@ -13,7 +13,7 @@
 /// software (configurable/tunable), more global access pattern analysis,
 /// and "capable of using more context for its predictions than digrams of
 /// data accesses" (Section 5.1).  This implementation exists so the
-/// comparison can be run (bench/ablation_markov): a digram predictor
+/// comparison can be run (`hds_matrix --render markov`): a digram predictor
 /// keyed on cache-miss addresses, with a fixed number of successor slots
 /// per node and prefetches issued for all of them, prioritized by
 /// recency.

@@ -13,7 +13,7 @@
 /// complement: "a stride-based prefetcher could complement our scheme by
 /// prefetching data address sequences that do not qualify as hot data
 /// streams" (Section 4.3).  This implementation exists to evaluate both
-/// claims (bench/ablation_stride): on its own it accelerates the strided
+/// claims (`hds_matrix --render stride`): on its own it accelerates the strided
 /// cold scans the benchmarks contain but not the pointer chains; combined
 /// with hot data stream prefetching the two cover disjoint miss classes.
 ///

@@ -43,7 +43,7 @@ struct NoiseRegionConfig {
   /// counts are unchanged — only the address *sequence* becomes
   /// irregular, which is what the cold traffic of pointer-based programs
   /// looks like (and what keeps a hardware stride prefetcher from
-  /// trivially covering it; see bench/ablation_stride).
+  /// trivially covering it; see `hds_matrix --render stride`).
   bool ShuffleBlocks = true;
 };
 

@@ -44,7 +44,8 @@ TEST(OptionSet, EveryRegistrationKindParses) {
   uint64_t U64 = 0;
   uint32_t U32 = 0;
   unsigned Uns = 0;
-  double Loose = 0.0, Positive = 0.0, NonNegative = -1.0;
+  double Positive = 0.0, NonNegative = -1.0;
+  std::string Operand;
   core::RunMode Mode = core::RunMode::Original;
 
   bool UsageCalled = false;
@@ -56,15 +57,15 @@ TEST(OptionSet, EveryRegistrationKindParses) {
       .u64("--u64", U64)
       .u32("--u32", U32)
       .uns("--uns", Uns)
-      .looseDouble("--loose", Loose)
       .positiveDouble("--positive", Positive)
       .nonNegativeDouble("--nonneg", NonNegative)
-      .runMode("--mode", Mode);
+      .runMode("--mode", Mode)
+      .operand(Operand);
 
   parseArgs(Set, {"--flag", "--str", "hello", "--list", "a", "--list", "b",
                   "--pair", "left", "right", "--u64", "18446744073709551615",
-                  "--u32", "4096", "--uns", "7", "--loose", "0.5",
-                  "--positive", "2.25", "--nonneg", "0", "--mode", "dynpref"});
+                  "--u32", "4096", "--uns", "7", "doc.json", "--positive",
+                  "2.25", "--nonneg", "0", "--mode", "dynpref"});
 
   EXPECT_FALSE(UsageCalled);
   EXPECT_TRUE(Flag);
@@ -75,7 +76,7 @@ TEST(OptionSet, EveryRegistrationKindParses) {
   EXPECT_EQ(U64, 18446744073709551615ull);
   EXPECT_EQ(U32, 4096u);
   EXPECT_EQ(Uns, 7u);
-  EXPECT_DOUBLE_EQ(Loose, 0.5);
+  EXPECT_EQ(Operand, "doc.json");
   EXPECT_DOUBLE_EQ(Positive, 2.25);
   EXPECT_DOUBLE_EQ(NonNegative, 0.0);
   EXPECT_EQ(Mode, core::RunMode::DynamicPrefetch);
@@ -98,6 +99,14 @@ TEST(OptionSet, UnknownOptionAndMissingOperandHitUsage) {
   Set.runMode("--mode", Mode);
   parseArgs(Set, {"--mode", "spicy"});
   EXPECT_EQ(UsageCalls, 3u);
+  // A bare argument needs an operand slot, and the slot takes one.
+  parseArgs(Set, {"a.json"});
+  EXPECT_EQ(UsageCalls, 4u);
+  std::string Operand;
+  Set.operand(Operand);
+  parseArgs(Set, {"a.json", "b.json"});
+  EXPECT_EQ(UsageCalls, 5u);
+  EXPECT_EQ(Operand, "a.json");
 }
 
 TEST(OptionSetDeathTest, StrictNumericOptionsExitWithLegacyMessages) {
@@ -111,9 +120,11 @@ TEST(OptionSetDeathTest, StrictNumericOptionsExitWithLegacyMessages) {
   EXPECT_EXIT(parseArgs(Set, {"--scale", "0"}),
               testing::ExitedWithCode(2),
               "error: invalid --scale '0' \\(need a finite number > 0\\)");
-  EXPECT_EXIT(parseArgs(Set, {"--scale", "1.5x"}),
-              testing::ExitedWithCode(2),
-              "error: invalid --scale '1.5x' \\(need a finite number > 0\\)");
+  for (const char *Bad : {"1.5x", "abc", "-1", "inf", "nan"})
+    EXPECT_EXIT(parseArgs(Set, {"--scale", Bad}), testing::ExitedWithCode(2),
+                std::string("error: invalid --scale '") + Bad +
+                    "' \\(need a finite number > 0\\)")
+        << Bad;
   EXPECT_EXIT(parseArgs(Set, {"--threshold", "-1"}),
               testing::ExitedWithCode(2),
               "error: invalid --threshold '-1' \\(need a number >= 0\\)");

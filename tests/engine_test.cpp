@@ -17,11 +17,15 @@
 #include "engine/ResultSink.h"
 #include "engine/ResultsDiff.h"
 #include "engine/ResultsJson.h"
+#include "engine/Views.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <semaphore>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -198,6 +202,24 @@ TEST(ExperimentSpec, BadFilterReportsErrorAndLeavesSpecsAlone) {
   EXPECT_EQ(Specs.size(), Before);
 }
 
+TEST(ExperimentSpec, DefaultSpecMaterializesTheDefaultConfig) {
+  const core::OptimizerConfig Default;
+  const core::OptimizerConfig FromSpec = ExperimentSpec().materializeConfig();
+  EXPECT_EQ(FromSpec.Dfsm.HeadLength, Default.Dfsm.HeadLength);
+  EXPECT_EQ(FromSpec.L2.SizeBytes, Default.L2.SizeBytes);
+  EXPECT_EQ(FromSpec.Tracing.NCheck0, Default.Tracing.NCheck0);
+  EXPECT_EQ(FromSpec.QuietHeadPlacement, Default.QuietHeadPlacement);
+}
+
+TEST(ExperimentSpec, HeadLengthZeroIsRejected) {
+  ExperimentSpec Spec;
+  Spec.Iterations = 50;
+  Spec.HeadLength = 0;
+  const RunResult Result = runExperiment(Spec);
+  EXPECT_EQ(Result.State, RunResult::Status::Error);
+  EXPECT_NE(Result.Error.find("head length"), std::string::npos);
+}
+
 //===----------------------------------------------------------------------===//
 // runMatrix determinism and failure isolation
 //===----------------------------------------------------------------------===//
@@ -350,6 +372,25 @@ TEST(ResultsDiff, RejectsForeignDocuments) {
                            DiffOptions(), Report, Error));
 }
 
+TEST(ResultsDiff, MissingAppendedFieldsKeyAsTheirDefaults) {
+  // Documents written before l2_bytes/ncheck0/quiet_head existed pair
+  // with new ones cell for cell.
+  const std::string Json = jsonForJobs({smallMatrix().front()}, 1);
+  std::istringstream Lines(Json);
+  std::string Old, Line;
+  while (std::getline(Lines, Line))
+    if (Line.find("\"l2_bytes\"") == std::string::npos &&
+        Line.find("\"ncheck0\"") == std::string::npos &&
+        Line.find("\"quiet_head\"") == std::string::npos)
+      Old += Line + "\n";
+  ASSERT_NE(Old, Json);
+  DiffReport Report;
+  std::string Error;
+  ASSERT_TRUE(diffResults(Old, Json, DiffOptions(), Report, Error)) << Error;
+  EXPECT_FALSE(Report.regressed()) << Report.render("old", "new");
+  EXPECT_EQ(Report.CellsCompared, 1u);
+}
+
 //===----------------------------------------------------------------------===//
 // JSON writer
 //===----------------------------------------------------------------------===//
@@ -415,6 +456,71 @@ TEST(ResultsJson, LayoutSeedChangesTheRunButNotItsShape) {
   EXPECT_EQ(Result.Spec.Seed, 3u);
   const std::string Json = resultsToJson({Result});
   EXPECT_NE(Json.find("\"seed\": 3"), std::string::npos);
+}
+
+//===----------------------------------------------------------------------===//
+// Views (figures and tables rendered from a results document)
+//===----------------------------------------------------------------------===//
+
+std::vector<std::string> allViews() {
+  std::vector<std::string> Names;
+  std::istringstream List(viewNameList());
+  std::string Name;
+  while (std::getline(List, Name, ','))
+    Names.push_back(Name.substr(Name.find_first_not_of(' ')));
+  return Names;
+}
+
+TEST(Views, EveryViewReadsDistinctlyLabelledCells) {
+  ASSERT_EQ(allViews().size(), 10u);
+  for (const std::string &View : allViews()) {
+    std::vector<ExperimentSpec> Cells;
+    ASSERT_TRUE(viewCells(View, 0.5, Cells)) << View;
+    EXPECT_FALSE(Cells.empty()) << View;
+    std::set<std::string> Labels;
+    for (const ExperimentSpec &Cell : Cells) {
+      EXPECT_EQ(Cell.Scale, 0.5) << View;
+      EXPECT_TRUE(Labels.insert(Cell.label()).second)
+          << View << " reads two cells labelled " << Cell.label();
+    }
+  }
+}
+
+TEST(Views, RendersAMarkdownTableFromTheCellsItNeeds) {
+  std::vector<ExperimentSpec> Cells;
+  ASSERT_TRUE(viewCells("fig12", 0.01, Cells));
+  EXPECT_EQ(Cells.size(), 24u); // six workloads x Original + three modes
+  const std::string Json = resultsToJson(runMatrix(Cells, 2));
+  std::string Table, Error;
+  ASSERT_TRUE(renderView("fig12", 0.01, Json, Table, Error)) << Error;
+  EXPECT_EQ(Table.rfind("| benchmark | No-pref | Seq-pref | Dyn-pref |\n"
+                        "|---|---|---|---|\n| vpr | ",
+                        0),
+            0u)
+      << Table;
+  EXPECT_EQ(std::count(Table.begin(), Table.end(), '\n'), 8);
+  // The same cells at another scale are not in the document.
+  EXPECT_FALSE(renderView("fig12", 0.02, Json, Table, Error));
+}
+
+TEST(Views, RejectsUnknownViewsMissingCellsAndForeignDocuments) {
+  std::vector<ExperimentSpec> Cells;
+  EXPECT_FALSE(viewCells("fig13", 1.0, Cells));
+  std::string Table, Error;
+  const std::string Json = jsonForJobs(smallMatrix(), 2);
+  EXPECT_FALSE(renderView("fig13", 1.0, Json, Table, Error));
+  EXPECT_NE(Error.find("fig11, fig12, table2"), std::string::npos) << Error;
+
+  // smallMatrix runs vpr only: the first missing cell is mcf's baseline.
+  EXPECT_FALSE(renderView("fig11", 1.0, Json, Table, Error));
+  EXPECT_NE(Error.find("lacks cell mcf/original"), std::string::npos)
+      << Error;
+
+  EXPECT_FALSE(renderView("fig11", 1.0, "{]", Table, Error));
+  EXPECT_NE(Error.find("JSON parse error"), std::string::npos) << Error;
+  EXPECT_FALSE(renderView("fig11", 1.0, "{\"schema\": \"other\"}", Table,
+                          Error));
+  EXPECT_TRUE(Table.empty());
 }
 
 } // namespace

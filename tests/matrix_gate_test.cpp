@@ -1,4 +1,4 @@
-//===- tests/matrix_gate_test.cpp - Adaptive gates over the golden --------===//
+//===- tests/matrix_gate_test.cpp - Gates over the committed matrices -----===//
 //
 // Part of the hds project (PLDI 2002 hot data stream prefetching repro).
 //
@@ -13,12 +13,20 @@
 //   * the dueling selector is at most 2 points worse than the best of
 //     its members (stride, Markov, stream, pair).
 //
+// The Figure 12 shape is gated on the full-scale BENCH_matrix.json:
+// Dyn-pref beats Original on all six workloads, and Seq-pref loses on
+// all but parser, where it wins.  At the golden's scale 0.05 too few
+// optimization cycles complete for Dyn-pref to pay off.  EXPERIMENTS.md
+// must quote the Figure 11, Figure 12 and Table 2 views of that
+// document verbatim.
+//
 // The tolerances are fixed; a change that cannot meet them leaves these
 // tests failing.
 //
 //===----------------------------------------------------------------------===//
 
 #include "engine/ResultsDiff.h"
+#include "engine/Views.h"
 
 #include <gtest/gtest.h>
 
@@ -63,17 +71,22 @@ std::string configOf(const std::map<std::string, std::string> &Id) {
   return Id.at("tuned") == "true" ? Config + "+tuned" : Config;
 }
 
-/// Cycles per (workload, configuration) of the golden matrix.
-class GoldenMatrix : public ::testing::Test {
+std::string readFile(const std::string &Path) {
+  std::ifstream In(Path);
+  std::stringstream Text;
+  Text << In.rdbuf();
+  return Text.str();
+}
+
+/// Cycles per (workload, configuration) of a committed results document.
+class CommittedMatrix : public ::testing::Test {
 protected:
-  void SetUp() override {
-    std::ifstream In(HDS_GOLDEN_DIR "/matrix_scale005.json");
-    ASSERT_TRUE(In) << "cannot open the golden matrix";
-    std::stringstream Text;
-    Text << In.rdbuf();
+  void load(const std::string &File) {
+    const std::string Text = readFile(File);
+    ASSERT_FALSE(Text.empty()) << "cannot read " << File;
     std::vector<engine::ResultCell> Cells;
     std::string Error;
-    ASSERT_TRUE(engine::readResultCells(Text.str(), Cells, Error)) << Error;
+    ASSERT_TRUE(engine::readResultCells(Text, Cells, Error)) << Error;
     for (const engine::ResultCell &Cell : Cells) {
       ASSERT_EQ(Cell.Status, "ok") << Cell.Key;
       const std::map<std::string, std::string> Id = identityOf(Cell.Key);
@@ -98,6 +111,18 @@ protected:
   }
 
   std::map<std::string, std::map<std::string, double>> Cycles;
+};
+
+class GoldenMatrix : public CommittedMatrix {
+protected:
+  void SetUp() override {
+    load(HDS_SOURCE_DIR "/tests/golden/matrix_scale005.json");
+  }
+};
+
+class FullScaleMatrix : public CommittedMatrix {
+protected:
+  void SetUp() override { load(HDS_SOURCE_DIR "/BENCH_matrix.json"); }
 };
 
 TEST_F(GoldenMatrix, TunedCellsHoldTheirFixedEngine) {
@@ -130,6 +155,33 @@ TEST_F(GoldenMatrix, DuelHoldsItsBestMember) {
     EXPECT_LE(DuelPct, BestPct + DuelSlackPts)
         << Workload << " duel " << DuelPct << "% vs best member " << Best
         << " " << BestPct << "%";
+  }
+}
+
+TEST_F(FullScaleMatrix, Figure12Shape) {
+  for (const auto &Entry : Cycles) {
+    const std::string &Workload = Entry.first;
+    const double DynPct = pctVsOriginal(Workload, "dynpref");
+    EXPECT_LT(DynPct, 0.0) << Workload << " Dyn-pref " << DynPct << "%";
+    const double SeqPct = pctVsOriginal(Workload, "seqpref");
+    if (Workload == "parser")
+      EXPECT_LT(SeqPct, 0.0) << "parser Seq-pref " << SeqPct << "%";
+    else
+      EXPECT_GT(SeqPct, 0.0) << Workload << " Seq-pref " << SeqPct << "%";
+  }
+}
+
+TEST(ExperimentsMd, QuotesTheFullScaleFigureViews) {
+  const std::string Document = readFile(HDS_SOURCE_DIR "/BENCH_matrix.json");
+  const std::string Experiments = readFile(HDS_SOURCE_DIR "/EXPERIMENTS.md");
+  ASSERT_FALSE(Experiments.empty());
+  for (const char *View : {"fig11", "fig12", "table2"}) {
+    std::string Table, Error;
+    ASSERT_TRUE(engine::renderView(View, 1.0, Document, Table, Error))
+        << Error;
+    EXPECT_NE(Experiments.find(Table), std::string::npos)
+        << "EXPERIMENTS.md does not quote the " << View << " view:\n"
+        << Table;
   }
 }
 

@@ -30,6 +30,12 @@
 //                           beyond PCT is a regression (default: all
 //                           timing.* paths are ignored as machine noise)
 //
+//   Figures and tables (engine/Views.h):
+//     --render VIEW [FILE]  print VIEW as a markdown table, read from the
+//                           results document FILE, or else from a run of
+//                           the view's cells (--jobs, --scale, --out and
+//                           --list apply to that run)
+//
 //===----------------------------------------------------------------------===//
 
 #include "cli/Options.h"
@@ -37,6 +43,7 @@
 #include "engine/ExperimentSpec.h"
 #include "engine/ResultsDiff.h"
 #include "engine/ResultsJson.h"
+#include "engine/Views.h"
 #include "support/Table.h"
 
 #include <chrono>
@@ -67,6 +74,10 @@ struct Options {
   std::string DiffA, DiffB;
   double ThresholdPct = 0.0;
   double WallThresholdPct = -1.0; ///< < 0 ignores timing.* (the default)
+
+  // Render mode.
+  std::string Render;   ///< view name
+  std::string Document; ///< results document to render instead of running
 };
 
 [[noreturn]] void usage(const char *Binary) {
@@ -76,8 +87,11 @@ struct Options {
       "          [--out FILE] [--timing] [--list] [--quiet]\n"
       "       %s --diff A.json B.json [--threshold PCT] "
       "[--wall-threshold PCT]\n"
-      "%s",
-      Binary, Binary, engine::filterHelp().c_str());
+      "       %s --render VIEW [FILE.json] [--scale F]\n"
+      "%s"
+      "views: %s\n",
+      Binary, Binary, Binary, engine::filterHelp().c_str(),
+      engine::viewNameList().c_str());
   std::exit(2);
 }
 
@@ -95,8 +109,12 @@ Options parseOptions(int Argc, char **Argv) {
       .flag("--quiet", Opts.Quiet)
       .strPair("--diff", Opts.DiffA, Opts.DiffB)
       .nonNegativeDouble("--threshold", Opts.ThresholdPct)
-      .nonNegativeDouble("--wall-threshold", Opts.WallThresholdPct);
+      .nonNegativeDouble("--wall-threshold", Opts.WallThresholdPct)
+      .str("--render", Opts.Render)
+      .operand(Opts.Document);
   Set.parse(Argc, Argv);
+  if (!Opts.Document.empty() && Opts.Render.empty())
+    usage(Binary);
   return Opts;
 }
 
@@ -162,6 +180,18 @@ int runDiffMode(const Options &Opts) {
   return Report.regressed() ? 1 : 0;
 }
 
+/// Prints the --render view from the results document \p Json; 2 when
+/// the document cannot provide it.
+int printView(const Options &Opts, const std::string &Json) {
+  std::string Text, Error;
+  if (!engine::renderView(Opts.Render, Opts.Scale, Json, Text, Error)) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
+    return 2;
+  }
+  std::fwrite(Text.data(), 1, Text.size(), stdout);
+  return 0;
+}
+
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -170,8 +200,24 @@ int main(int Argc, char **Argv) {
   if (!Opts.DiffA.empty())
     return runDiffMode(Opts);
 
-  std::vector<engine::ExperimentSpec> Specs =
-      engine::defaultMatrix(Opts.Scale);
+  std::vector<engine::ExperimentSpec> Specs;
+  if (Opts.Render.empty()) {
+    Specs = engine::defaultMatrix(Opts.Scale);
+  } else if (!engine::viewCells(Opts.Render, Opts.Scale, Specs)) {
+    std::fprintf(stderr, "error: unknown view '%s' (expected %s)\n",
+                 Opts.Render.c_str(), engine::viewNameList().c_str());
+    return 2;
+  }
+  if (!Opts.Document.empty()) {
+    bool Ok = false;
+    const std::string Json = readWholeFile(Opts.Document, Ok);
+    if (!Ok) {
+      std::fprintf(stderr, "error: cannot read '%s'\n",
+                   Opts.Document.c_str());
+      return 2;
+    }
+    return printView(Opts, Json);
+  }
   if (Opts.Seeds > 0) {
     const std::vector<engine::ExperimentSpec> Base = Specs;
     for (uint64_t Seed = 1; Seed <= Opts.Seeds; ++Seed)
@@ -232,8 +278,8 @@ int main(int Argc, char **Argv) {
     Timing.Jobs = Jobs;
   }
 
-  // With --out - the JSON owns stdout; keep the human table off it.
-  if (Opts.OutPath != "-")
+  // With --out - the JSON owns stdout; keep the human tables off it.
+  if (Opts.OutPath != "-" && Opts.Render.empty())
     printSummary(Results);
 
   bool AnyError = false;
@@ -241,8 +287,10 @@ int main(int Argc, char **Argv) {
     if (Result.State == engine::RunResult::Status::Error)
       AnyError = true;
 
+  const std::string Json = Opts.OutPath.empty() && Opts.Render.empty()
+                               ? std::string()
+                               : engine::resultsToJson(Results, Timing);
   if (!Opts.OutPath.empty()) {
-    const std::string Json = engine::resultsToJson(Results, Timing);
     if (Opts.OutPath == "-") {
       std::fwrite(Json.data(), 1, Json.size(), stdout);
     } else {
@@ -260,5 +308,8 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  return AnyError ? 1 : 0;
+  if (AnyError)
+    return 1;
+  return Opts.Render.empty() || Opts.OutPath == "-" ? 0
+                                                     : printView(Opts, Json);
 }

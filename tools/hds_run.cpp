@@ -51,6 +51,7 @@
 #include "support/Table.h"
 #include "workloads/Workload.h"
 
+#include <algorithm>
 #include <memory>
 
 #include <cstdio>
@@ -113,8 +114,8 @@ Options parseOptions(int Argc, char **Argv) {
   Set.str("--workload", Opts.Workload)
       .runMode("--mode", Opts.Mode)
       .u64("--iterations", Opts.Iterations)
-      .looseDouble("--scale", Opts.Scale)
-      .u32("--headlen", Opts.HeadLength)
+      .positiveDouble("--scale", Opts.Scale)
+      .unsAtLeastOne("--headlen", Opts.HeadLength)
       .flag("--pin", Opts.Pin)
       .flag("--verbose", Opts.Verbose)
       .flag("--report", Opts.Report)
@@ -389,11 +390,15 @@ uint64_t runConfigured(const Options &Opts, RunMode Mode, bool Report) {
 
   Runtime Rt(Config);
 
+  // At least one iteration, as engine::runExperiment runs: a tiny
+  // --scale must not leave an empty run.
   const uint64_t Iterations =
       Opts.Iterations != 0
           ? Opts.Iterations
-          : static_cast<uint64_t>(
-                static_cast<double>(Bench->defaultIterations()) * Opts.Scale);
+          : std::max<uint64_t>(
+                1, static_cast<uint64_t>(
+                       static_cast<double>(Bench->defaultIterations()) *
+                       Opts.Scale));
 
   // All observation rides the one RuntimeObserver slot; when both a trace
   // dump and a recording are requested the tee fans the stream out.
